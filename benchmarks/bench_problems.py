@@ -4,8 +4,9 @@ Every problem in :mod:`repro.solve.registry` (SSSP, connected
 components, ...) runs end-to-end in both execution modes on the same
 random graph, asserting the modes agree byte-for-byte so a benchmark run
 doubles as a correctness smoke.  The service-layer benchmark times the
-content-addressed artifact path: a cold ``get_or_compute`` (solve +
-serialize) against a warm one (fingerprint hit, load only).
+content-addressed artifact path through the one artifact store: a cold
+``get_or_compute`` (solve + serialize) against a warm one (fingerprint
+hit, load only).
 
 ``tools/bench_problems_report.py`` runs the same comparison at the ISSUE
 target size (100k-edge random graph) and writes ``BENCH_problems.json``;
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.graphs.generators import gnm_random_graph
-from repro.solve.artifacts import ProblemArtifactStore
+from repro.service.artifacts import ArtifactStore
 from repro.solve.registry import get_oracle, get_problem, list_problem_info
 
 PROBLEMS = [info.name for info in list_problem_info()]
@@ -47,7 +48,7 @@ def test_problem_mode_end_to_end(benchmark, problem_graph, problem, mode):
 def test_problem_store_warm_vs_cold(benchmark, problem_graph, problem, tmp_path):
     """Warm artifact hits must amortize the solve away entirely."""
     benchmark.group = f"store-{problem}"
-    store = ProblemArtifactStore(tmp_path / "store")
+    store = ArtifactStore(tmp_path / "store")
     artifact, hit = store.get_or_compute(problem_graph, problem, "vectorized")
     assert not hit
 

@@ -10,9 +10,10 @@ and checking the documented behaviour:
 * :func:`corrupt_artifact` — seeded truncation, bit flips, garbage
   overwrite, and format-version skew of ``.npz`` artifact files;
 * :func:`check_artifact_degradation` — every corruption kind against
-  :meth:`~repro.service.artifacts.ArtifactStore.get_or_compute`: the
-  service must recompute, overwrite the bad file, count it in
-  ``corrupt_replaced``, and serve answers identical to a fresh solve;
+  :meth:`~repro.service.artifacts.ArtifactStore.get_or_compute`, for MSF
+  and registered-problem artifacts alike: the service must recompute,
+  overwrite the bad file, count it in ``corrupt_replaced``, and serve
+  answers identical to a fresh solve;
 * :func:`check_mid_batch_cancellation` — cancels awaiting requests while
   their batch is in flight: peers still get answers, the worker survives,
   and later queries are served;
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 import io
 import json
 from dataclasses import dataclass, field
@@ -123,66 +125,88 @@ def corrupt_artifact(path: str | Path, kind: str, seed: int = 0) -> None:
         )
 
 
+def _same_content(a, b) -> bool:
+    """Field-by-field equality of two artifacts of one kind (arrays exact)."""
+    def same(x, y) -> bool:
+        if isinstance(x, dict):
+            return isinstance(y, dict) and x.keys() == y.keys() and all(
+                same(x[k], y[k]) for k in x
+            )
+        if isinstance(x, np.ndarray):
+            return isinstance(y, np.ndarray) and np.array_equal(x, y)
+        return x == y
+
+    return type(a) is type(b) and all(
+        same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+    )
+
+
 def check_artifact_degradation(
     store_dir: str | Path,
     *,
     seed: int = 0,
     kinds: Sequence[str] | None = None,
+    problem: str = "mst",
 ) -> FaultReport:
-    """Every corruption kind must degrade to a recompute, never an error."""
-    from repro.service import MSTService
+    """Every corruption kind must degrade to a recompute, never an error.
+
+    ``problem`` picks the artifact kind under attack: ``"mst"`` (MSF
+    artifacts) or a registered problem such as ``"cc"``; both go through
+    the one :class:`~repro.service.artifacts.ArtifactStore`.
+    """
+    from repro.service import service_for
     from repro.service.artifacts import ArtifactStore
 
     report = FaultReport()
     g = _fault_graph(seed)
     store_dir = Path(store_dir)
+
+    def serve(kind: str):
+        """A fresh service over the store: (service, artifact, first answers)."""
+        svc = service_for(problem, ArtifactStore(store_dir / kind), algorithm="kruskal")
+        artifact = svc.load_graph(g)
+        engine = svc.ensure_ready()
+        answers = engine.execute(svc.query_kinds[0], [0, 1, 2], [3, 4, 5], None)
+        return svc, artifact, answers.tolist()
+
     for i, kind in enumerate(kinds if kinds is not None else FAULT_KINDS):
-        store = ArtifactStore(store_dir / kind)
-        svc = MSTService(store, algorithm="kruskal")
-        clean = svc.load_graph(g)
-        reference = [bool(b) for b in svc.connected([0, 1, 2], [3, 4, 5])]
-        path = store.path_for(clean.fingerprint)
+        name = f"{problem} {kind}"
+        svc, clean, reference = serve(kind)
+        path = svc.store.path_for(clean.fingerprint)
         report.record(
-            f"{kind}: artifact persisted", path.exists(), f"missing {path}"
+            f"{name}: artifact persisted", path.exists(), f"missing {path}"
         )
         corrupt_artifact(path, kind, seed=seed + i)
         # Fresh service over the corrupted store: must silently recompute.
-        svc2 = MSTService(ArtifactStore(store_dir / kind), algorithm="kruskal")
         try:
-            again = svc2.load_graph(g)
+            svc2, again, answers = serve(kind)
         except Exception as exc:
-            report.record(f"{kind}: degrade to recompute", False, repr(exc))
+            report.record(f"{name}: degrade to recompute", False, repr(exc))
             continue
         # A bit flip can land in zip padding or an unused flag byte: the
         # decoded content is then byte-identical (data-region flips are
         # caught by the zip CRC) and serving the file warm is correct —
         # only content-preserving corruption may go uncounted.
-        content_same = (
-            again.fingerprint == clean.fingerprint
-            and np.array_equal(again.msf_edge_ids, clean.msf_edge_ids)
-            and np.array_equal(again.msf_w, clean.msf_w)
-        )
+        content_same = _same_content(again, clean)
         report.record(
-            f"{kind}: corruption counted",
+            f"{name}: corruption counted",
             svc2.store.corrupt_replaced == 1 or content_same,
             f"corrupt_replaced={svc2.store.corrupt_replaced}",
         )
         report.record(
-            f"{kind}: recomputed forest matches",
+            f"{name}: recomputed artifact matches",
             content_same,
             "recomputed artifact differs from clean solve",
         )
-        answers = [bool(b) for b in svc2.connected([0, 1, 2], [3, 4, 5])]
         report.record(
-            f"{kind}: answers match clean solve",
+            f"{name}: answers match clean solve",
             answers == reference,
             f"{answers} != {reference}",
         )
         # The rewritten file must now load warm.
-        svc3 = MSTService(ArtifactStore(store_dir / kind), algorithm="kruskal")
-        svc3.load_graph(g)
+        svc3, _, _ = serve(kind)
         report.record(
-            f"{kind}: overwritten artifact serves warm",
+            f"{name}: overwritten artifact serves warm",
             svc3.store.hits == 1,
             f"hits={svc3.store.hits}",
         )
@@ -400,7 +424,10 @@ def run_fault_suite(work_dir: str | Path, *, seed: int = 0) -> FaultReport:
     """All fault-injection checks against one scratch directory."""
     work_dir = Path(work_dir)
     report = FaultReport()
-    report.merge(check_artifact_degradation(work_dir / "artifacts", seed=seed))
+    for problem in ("mst", "cc"):
+        report.merge(check_artifact_degradation(
+            work_dir / "artifacts", seed=seed, problem=problem,
+        ))
     report.merge(check_mid_batch_cancellation(seed=seed))
     report.merge(check_serve_malformed(work_dir / "serve", seed=seed))
     report.merge(check_worker_crash(seed=seed))

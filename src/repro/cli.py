@@ -715,14 +715,8 @@ def _load_graph(path: Path, spill_dir: Path | None = None):
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
-    from repro.solve import (
-        ProblemArtifactStore,
-        get_oracle,
-        get_problem,
-        problem_artifact_from_result,
-        problem_info,
-        save_problem_artifact,
-    )
+    from repro.service import ArtifactStore, save_npz_artifact, solve_artifact
+    from repro.solve import get_oracle, problem_info
 
     try:
         info = problem_info(args.problem)
@@ -737,26 +731,19 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
         g = build_dataset(args.dataset, args.scale, args.seed)
         source = f"{args.dataset} (scale={args.scale or 'default'}, seed={args.seed})"
-    params = {"source": args.source} if "source" in info.params else {}
+    params = _problem_params(args.problem, args.source)
 
     try:
         t0 = time.perf_counter()
         if args.store is not None:
-            store = ProblemArtifactStore(args.store)
-            artifact, hit = store.get_or_compute(
-                g, args.problem, args.mode, **params
+            artifact, hit = ArtifactStore(args.store).get_or_compute(
+                g, args.problem, args.mode, params=params
             )
-            elapsed = time.perf_counter() - t0
-            stats: dict = {}
             cache_note = f"  [{'warm' if hit else 'cold'} store {args.store}]"
         else:
-            result = get_problem(args.problem, args.mode)(g, **params)
-            elapsed = time.perf_counter() - t0
-            artifact = problem_artifact_from_result(
-                g, result, args.problem, args.mode, params
-            )
-            stats = dict(result.stats)
+            artifact = solve_artifact(g, args.problem, args.mode, params=params)
             cache_note = ""
+        elapsed = time.perf_counter() - t0
     except ReproError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -766,8 +753,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     scalars = ", ".join(f"{k}={v}" for k, v in sorted(artifact.scalars.items()))
     print(f"result:    {scalars}")
     print(f"wall time: {elapsed * 1e3:.2f} ms")
-    if stats:
-        print("stats:     " + ", ".join(f"{k}={v}" for k, v in sorted(stats.items())))
     if args.verify:
         import numpy as np
 
@@ -781,21 +766,50 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 return 1
         print(f"verified:  byte-identical to the {info.oracle} oracle")
     if args.save is not None:
-        save_problem_artifact(artifact, args.save)
+        save_npz_artifact(artifact, args.save)
         print(f"saved:     problem artifact written to {args.save}")
     return 0
 
 
+def _problem_params(problem: str, source: int) -> dict:
+    """Solve parameters for ``problem`` from the CLI's ``--source``."""
+    if problem == "mst":
+        return {}
+    from repro.solve.registry import problem_info
+
+    return {"source": source} if "source" in problem_info(problem).params else {}
+
+
+def _open_service(args: argparse.Namespace, **mst_options):
+    """The service ``--problem`` names (the MSF service without one)."""
+    from repro.service import service_for
+
+    problem = args.problem or "mst"
+    return service_for(
+        problem, args.store, mode=args.mode,
+        params=_problem_params(problem, args.source),
+        algorithm=args.algo, **mst_options,
+    )
+
+
+def _artifact_banner(artifact) -> tuple[str, str]:
+    """``(what solved it, its shape)`` for the query and serve banners."""
+    if artifact.problem != "mst":
+        scalars = ", ".join(f"{k}={v}" for k, v in sorted(artifact.scalars.items()))
+        return artifact.problem, scalars
+    solved_by = artifact.algorithm
+    if artifact.solver:
+        solved_by += f" via {artifact.solver} x{artifact.shards}"
+    return solved_by, (f"forest={artifact.n_forest_edges} edges, "
+                       f"{artifact.n_components} components")
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
-    from repro.service import MSTService
 
-    if args.problem is not None:
-        return _cmd_query_problem(args)
     try:
-        svc = MSTService(args.store, algorithm=args.algo, mode=args.mode,
-                         shards=args.shards, partition=args.partition,
-                         executor=args.executor)
+        svc = _open_service(args, shards=args.shards, partition=args.partition,
+                            executor=args.executor)
         obs = getattr(args, "obs", None)
         if obs is not None and obs.active:
             from repro.obs import service_metrics_provider
@@ -817,55 +831,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 print("query needs --artifact, --dataset, or --input", file=sys.stderr)
                 return 2
             artifact = svc.load_graph(g)
-        solved_by = artifact.algorithm
-        if artifact.solver:
-            solved_by += f" via {artifact.solver} x{artifact.shards}"
+        solved_by, shape = _artifact_banner(artifact)
         print(f"artifact:  {source}  [{solved_by}] "
-              f"(n={artifact.n_vertices}, forest={artifact.n_forest_edges} edges, "
-              f"{artifact.n_components} components)")
-        return _answer_queries(svc, args)
-    except ReproError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-
-def _cmd_query_problem(args: argparse.Namespace) -> int:
-    """``query --problem``: answer a registered problem's query kinds."""
-    from repro.errors import ReproError
-    from repro.solve import ProblemService, problem_info
-
-    try:
-        info = problem_info(args.problem)
-        params = {"source": args.source} if "source" in info.params else {}
-        svc = ProblemService(
-            args.store, problem=args.problem, mode=args.mode, **params
-        )
-        obs = getattr(args, "obs", None)
-        if obs is not None and obs.active:
-            from repro.obs import service_metrics_provider
-
-            obs.register("service.metrics", service_metrics_provider(svc.metrics))
-        if args.artifact is not None:
-            artifact = svc.load_artifact(args.artifact)
-            source = str(args.artifact)
-        else:
-            if args.input is not None:
-                g = _load_graph(args.input)
-                source = str(args.input)
-            elif args.dataset is not None:
-                from repro.bench.datasets import build_dataset
-
-                g = build_dataset(args.dataset, args.scale, args.seed)
-                source = f"{args.dataset} (scale={args.scale or 'default'})"
-            else:
-                print("query needs --artifact, --dataset, or --input", file=sys.stderr)
-                return 2
-            artifact = svc.load_graph(g)
-        scalars = ", ".join(
-            f"{k}={v}" for k, v in sorted(artifact.scalars.items())
-        )
-        print(f"artifact:  {source}  [{artifact.problem}] "
-              f"(n={artifact.n_vertices}, {scalars})")
+              f"(n={artifact.n_vertices}, {shape})")
+        if svc.problem == "mst":
+            return _answer_queries(svc, args)
         return _answer_problem_queries(svc, args)
     except ReproError as exc:
         print(str(exc), file=sys.stderr)
@@ -946,7 +916,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.errors import ReproError, ServiceError
-    from repro.service import MSTService
     from repro.service.server import AsyncMSTService
 
     if args.multi:
@@ -958,20 +927,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from repro.bench.datasets import build_dataset
 
         g = build_dataset(args.dataset, args.scale, args.seed)
-    if args.problem is not None:
-        from repro.solve import ProblemService, problem_info
-
-        try:
-            info = problem_info(args.problem)
-        except ReproError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        params = {"source": args.source} if "source" in info.params else {}
-        svc = ProblemService(
-            args.store, problem=args.problem, mode=args.mode, **params
-        )
-    else:
-        svc = MSTService(args.store, algorithm=args.algo, mode=args.mode)
+    try:
+        svc = _open_service(args)
+    except ReproError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     obs = getattr(args, "obs", None)
     if obs is not None and obs.active:
         from repro.obs import service_metrics_provider
@@ -981,10 +941,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     artifact = svc.load_graph(g)
     load_s = time.perf_counter() - t0
     warm = svc.metrics.artifact_hits > 0
-    shape = (
-        f"forest={artifact.n_forest_edges} edges" if args.problem is None
-        else ", ".join(f"{k}={v}" for k, v in sorted(artifact.scalars.items()))
-    )
+    _, shape = _artifact_banner(artifact)
     print(f"serving {artifact.fingerprint[:12]}... "
           f"(n={artifact.n_vertices}, {shape}) "
           f"[{'warm' if warm else 'cold'} load {load_s * 1e3:.1f} ms]",
@@ -1342,14 +1299,9 @@ def _cmd_tenant(args: argparse.Namespace) -> int:
                 source = {"kind": "dataset", "name": args.dataset,
                           "scale": args.scale, "seed": args.seed}
             from repro.platform.manifest import graph_from_spec
-            from repro.solve.registry import problem_info
 
             g = graph_from_spec(source)  # validates the spec eagerly
-            params = {}
-            if args.problem != "mst":
-                info = problem_info(args.problem)  # validates the name
-                if "source" in info.params:
-                    params["source"] = args.source
+            params = _problem_params(args.problem, args.source)  # validates the name
             graphs[args.graph] = {
                 "source": source, "problem": args.problem,
                 "algorithm": args.algo, "mode": args.mode,

@@ -17,7 +17,9 @@ exhaustively against recomputation; the poly-log structures of Holm-de
 Lichtenberg-Thorup are out of scope.  Weights are totally ordered by
 ``(weight, insertion sequence)``, the same endpoint-identity tie-break the
 static algorithms use, so the maintained forest always equals the static
-MSF of the live edges.
+MSF of the live edges.  Weights keep the loaded graph's dtype: int64
+weights stay exact Python ints (float64 would tie distinct values beyond
+2**53 and break that order).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Dict, Iterator, List, Set, Tuple
 
 import numpy as np
 
-from repro.errors import GraphError
+from repro.errors import GraphError, WeightError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.edgelist import EdgeList
 
@@ -40,8 +42,10 @@ class DynamicMSF:
         if n_vertices < 0:
             raise GraphError("n_vertices must be >= 0")
         self.n_vertices = int(n_vertices)
-        # edge store: id -> (u, v, w); alive edges only
+        # edge store: id -> (u, v, w); alive edges only.  w is an exact
+        # Python scalar of _w_dtype (the loaded graph's; float64 if none).
         self._edges: Dict[int, Tuple[int, int, float]] = {}
+        self._w_dtype = np.dtype(np.float64)
         self._next_id = 0
         self._tree: Set[int] = set()  # ids of forest edges
         # forest adjacency: vertex -> {neighbor: edge id}
@@ -57,10 +61,11 @@ class DynamicMSF:
         from repro.mst.kruskal import kruskal
 
         msf = cls(g.n_vertices)
-        for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w):
-            eid = msf._next_id
-            msf._next_id += 1
-            msf._edges[eid] = (int(u), int(v), float(w))
+        msf._w_dtype = g.edge_w.dtype
+        msf._edges = dict(enumerate(zip(
+            g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()
+        )))
+        msf._next_id = len(msf._edges)
         for eid in kruskal(g).edge_ids:
             msf._link(int(eid))
         return msf
@@ -110,7 +115,7 @@ class DynamicMSF:
         ids = sorted(self._tree, key=self._key)
         u = np.array([self._edges[e][0] for e in ids], dtype=np.int64)
         v = np.array([self._edges[e][1] for e in ids], dtype=np.int64)
-        w = np.array([self._edges[e][2] for e in ids], dtype=np.float64)
+        w = np.array([self._edges[e][2] for e in ids], dtype=self._w_dtype)
         return u, v, w, np.array(ids, dtype=np.int64)
 
     def find_edge(self, u: int, v: int, w: float | None = None) -> int | None:
@@ -139,16 +144,22 @@ class DynamicMSF:
     # Mutation
     # ------------------------------------------------------------------
     def insert_edge(self, u: int, v: int, w: float) -> int:
-        """Add an edge; returns its id.  The forest is updated in place."""
+        """Add an edge; returns its id.  The forest is updated in place.
+
+        Raises :class:`~repro.errors.WeightError` when the weight dtype
+        cannot hold ``w`` exactly (``2.5`` on an int64 graph, ``2**53 + 1``
+        on a float64 one).
+        """
         self._check_vertex(u)
         self._check_vertex(v)
         if u == v:
             raise GraphError("self loops are not allowed")
         if not np.isfinite(w):
             raise GraphError("weight must be finite")
+        w = self._exact_weight(w)
         eid = self._next_id
         self._next_id += 1
-        self._edges[eid] = (int(u), int(v), float(w))
+        self._edges[eid] = (int(u), int(v), w)
 
         path = self._tree_path(u, v)
         if path is None:
@@ -193,17 +204,29 @@ class DynamicMSF:
         Parallel edges are collapsed to their minimum (CSR canonical
         form), matching how the static algorithms would see this graph.
         """
-        if not self._edges:
-            return CSRGraph.from_edgelist(EdgeList.empty(self.n_vertices))
         items = sorted(self._edges.items())
         u = np.array([e[1][0] for e in items], dtype=np.int64)
         v = np.array([e[1][1] for e in items], dtype=np.int64)
-        w = np.array([e[1][2] for e in items], dtype=np.float64)
+        w = np.array([e[1][2] for e in items], dtype=self._w_dtype)
         return CSRGraph.from_edgelist(EdgeList.from_arrays(self.n_vertices, u, v, w))
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _exact_weight(self, w):
+        """``w`` as a Python scalar of the weight dtype, or WeightError."""
+        if isinstance(w, np.generic):
+            w = w.item()  # compare as Python numbers: exact across int/float
+        try:
+            cast = self._w_dtype.type(w).item()
+        except (OverflowError, TypeError, ValueError):
+            cast = None
+        if cast is None or cast != w:
+            raise WeightError(
+                f"weight {w!r} is not exactly representable as {self._w_dtype}"
+            )
+        return cast
+
     def _key(self, eid: int) -> Tuple[float, int]:
         # weight with insertion-order tie-break: a strict total order
         return (self._edges[eid][2], eid)

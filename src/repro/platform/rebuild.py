@@ -37,12 +37,15 @@ def rebuild_artifact_job(spec: dict):
     ``spec`` carries the edge arrays plus the solve recipe
     (``problem``/``algorithm``/``mode``/``params``) captured by
     :meth:`~repro.platform.registry.GraphPlatform.snapshot_for_rebuild`.
-    Returns the finished artifact.  Deliberately single-process inside:
-    rebuilds are the *background* load, so they take one worker slot each
-    rather than fanning out shards from within a shard-pool worker.
+    Returns the finished artifact from
+    :func:`~repro.service.artifacts.solve_artifact`, the store's own
+    solve.  Deliberately single-process inside: rebuilds are the
+    *background* load, so they take one worker slot each rather than
+    fanning out shards from within a shard-pool worker.
     """
     from repro.graphs.csr import CSRGraph
     from repro.graphs.edgelist import EdgeList
+    from repro.service.artifacts import solve_artifact
 
     el = EdgeList.from_arrays(
         int(spec["n_vertices"]),
@@ -51,18 +54,10 @@ def rebuild_artifact_job(spec: dict):
         np.asarray(spec["edge_w"]),
         dedup=False,
     )
-    g = CSRGraph.from_edgelist(el)
-    problem = spec["problem"]
-    if problem == "mst":
-        from repro.service.artifacts import build_artifact
-
-        return build_artifact(g, spec["algorithm"], spec["mode"])
-    from repro.solve.artifacts import problem_artifact_from_result
-    from repro.solve.registry import get_problem
-
-    params = dict(spec.get("params") or {})
-    result = get_problem(problem, spec["mode"])(g, **params)
-    return problem_artifact_from_result(g, result, problem, spec["mode"], params)
+    return solve_artifact(
+        CSRGraph.from_edgelist(el), spec["problem"], spec["mode"],
+        algorithm=spec["algorithm"], params=spec.get("params"),
+    )
 
 
 class RebuildScheduler:

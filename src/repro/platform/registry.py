@@ -45,7 +45,7 @@ from repro.platform.quota import (
     reject_queue,
     reject_rate,
 )
-from repro.service.core import MSTService
+from repro.service.core import service_for
 from repro.service.metrics import ServiceMetrics
 
 __all__ = ["GraphEntry", "TenantState", "GraphPlatform"]
@@ -125,13 +125,14 @@ class TenantState:
 class GraphPlatform:
     """The multi-tenant registry: named graphs over one shared pool.
 
-    ``root`` is the platform's state directory — content-addressed
-    artifact stores live under ``<root>/store/`` and are shared across
-    tenants (two tenants registering byte-identical graphs share one
-    artifact); ``None`` keeps everything in memory.  ``pool`` supplies a
-    shared :class:`~repro.platform.pool.WorkerPool`; without one the
-    platform creates its own lazily, on the first operation that needs
-    worker processes.
+    ``root`` is the platform's state directory — the one
+    content-addressed artifact store lives at ``<root>/store/`` and holds
+    every tenant's MSF and problem artifacts (two tenants registering
+    byte-identical graphs share one artifact); ``None`` keeps everything
+    in memory.  ``pool`` supplies a shared
+    :class:`~repro.platform.pool.WorkerPool`; without one the platform
+    creates its own lazily, on the first operation that needs worker
+    processes.
     """
 
     def __init__(
@@ -154,17 +155,13 @@ class GraphPlatform:
         self._lock = threading.RLock()
         self._tenants: Dict[str, TenantState] = {}
         self._seq = itertools.count(1)
-        self._msf_store = None
-        self._problem_store = None
+        self._store = None
         self._scheduler = None
         self._closed = False
         if self.root is not None:
             from repro.service.artifacts import ArtifactStore
-            from repro.solve.artifacts import ProblemArtifactStore
 
-            self._msf_store = ArtifactStore(self.root / "store" / "msf")
-            self._problem_store = ProblemArtifactStore(
-                self.root / "store" / "problems")
+            self._store = ArtifactStore(self.root / "store")
 
     # ------------------------------------------------------------------
     # Shared resources
@@ -254,22 +251,6 @@ class GraphPlatform:
     # ------------------------------------------------------------------
     # Graphs
     # ------------------------------------------------------------------
-    def _make_service(self, tenant: TenantState, *, problem: str,
-                      algorithm: str, mode: Optional[str], shards: int,
-                      params: dict):
-        if problem == "mst":
-            return MSTService(
-                self._msf_store, algorithm=algorithm, mode=mode,
-                shards=shards, metrics=tenant.metrics,
-                pool=self.pool if shards > 0 else None, tenant=tenant.name,
-            )
-        from repro.solve.service import ProblemService
-
-        return ProblemService(
-            self._problem_store, problem=problem, mode=mode,
-            metrics=tenant.metrics, **params,
-        )
-
     def add_graph(
         self,
         tenant: str,
@@ -303,9 +284,10 @@ class GraphPlatform:
                 raise reject_graphs(tenant, len(state.graphs), limit)
             with _obs_span("platform:add_graph", "platform", tenant=tenant,
                            graph=name, problem=problem):
-                service = self._make_service(
-                    state, problem=problem, algorithm=algorithm, mode=mode,
-                    shards=shards, params=params,
+                service = service_for(
+                    problem, self._store, mode=mode, metrics=state.metrics,
+                    params=params, algorithm=algorithm, shards=shards,
+                    pool=self.pool if shards > 0 else None, tenant=tenant,
                 )
                 service.load_graph(g)
             entry = GraphEntry(
@@ -439,7 +421,7 @@ class GraphPlatform:
             with _obs_span("platform:mutate", "platform", tenant=tenant,
                            graph=name, op=op):
                 if op == "insert":
-                    out = e.service.insert_edge(int(u), int(v), float(w))
+                    out = e.service.insert_edge(int(u), int(v), w)
                 elif op == "delete":
                     e.service.delete_edge(int(u), int(v), w)
                     out = None
@@ -505,9 +487,8 @@ class GraphPlatform:
             if e.resident:
                 e.service.adopt_artifact(artifact)
                 return "swapped"
-            store = e.service.store
-            if store is not None:
-                store.put(artifact)
+            if self._store is not None:
+                self._store.save(artifact)
             return "persisted"
 
     # ------------------------------------------------------------------

@@ -1,24 +1,33 @@
-"""Content-addressed store of precomputed MSF artifacts.
+"""Content-addressed store of solved artifacts: MSFs and registered problems.
 
-The expensive part of serving MST queries is computing the forest; the
-serving layer therefore treats a solved MSF as a *content-addressed
-artifact*: the SHA-256 fingerprint of the exact graph bytes (vertex count,
-endpoint arrays, weight arrays) plus the algorithm/mode that solved it
-addresses one immutable result.  Any change to the graph, the weights, or
-the solver yields a new fingerprint — invalidation is structural, never a
-guess.
+The expensive part of serving queries is the solve; the serving layer
+therefore treats a solved instance as a *content-addressed artifact*:
+the SHA-256 fingerprint of the exact graph bytes (vertex count, endpoint
+arrays, weight arrays) plus what solved it addresses one immutable
+result.  Any change to the graph, the weights, or the solve recipe
+yields a new fingerprint — invalidation is structural, never a guess.
 
-An artifact bundles the forest edges *and* the prebuilt
-:class:`~repro.graphs.tree_queries.ForestPathMax` binary-lifting index, so
-a warm start deserialises straight into a query-ready engine without
-recomputing the MSF or re-running the O(n log n) index build.
+Two artifact kinds share one store, one atomic writer and one reader:
 
-Two serialisations:
+* :class:`MSFArtifact` — the forest edges *and* the prebuilt
+  :class:`~repro.graphs.tree_queries.ForestPathMax` binary-lifting index,
+  so a warm start deserialises straight into a query-ready engine;
+  addressed by :func:`graph_fingerprint` (graph + algorithm/mode/solver);
+* :class:`ProblemArtifact` — one solved registered problem (SSSP
+  distances + canonical parents, CC labels, ...), its arrays checked
+  against the problem's registry schema; addressed by
+  :func:`problem_fingerprint` (graph + problem/mode/params).
 
-* ``.npz`` (the store's native format) — full fidelity including the
-  prebuilt index, with a format version for forward invalidation;
-* ``.json`` (the portable offline format written by ``repro mst --save``)
-  — forest edges only; the index is rebuilt on load.
+Both fingerprints hash the same graph bytes under different salts, so
+the kinds never collide in a shared directory.  A kind contributes only
+its fingerprint, its payload layout, and its structural check: every
+``.npz`` file starts with the same header (``format_version``,
+``fingerprint``, ``problem`` — ``"mst"`` for forests — ``mode``,
+``n_vertices``), and :func:`solve_artifact` is the one place that tells
+an MST solve from a registered problem's.
+
+MSF artifacts also have a portable ``.json`` form (written by
+``repro mst --save``): forest edges only; the index is rebuilt on load.
 
 Corrupted or version-incompatible files surface as
 :class:`~repro.errors.ServiceError`; :meth:`ArtifactStore.get_or_compute`
@@ -35,7 +44,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import ClassVar, Dict, Optional
 
 import numpy as np
 
@@ -45,28 +54,39 @@ from repro.graphs.tree_queries import ForestPathMax
 from repro.mst.base import MSTResult
 
 __all__ = [
+    "MST",
     "MSFArtifact",
+    "ProblemArtifact",
     "ArtifactStore",
     "graph_fingerprint",
+    "problem_fingerprint",
+    "artifact_fingerprint",
     "update_graph_hash",
     "artifact_from_result",
-    "build_artifact",
+    "solve_artifact",
+    "save_npz_artifact",
+    "load_npz_artifact",
     "save_json_artifact",
     "load_json_artifact",
-    "load_npz_artifact",
 ]
 
-_FORMAT_VERSION = 1
+MST = "mst"
+# One layout version per kind.  MSF layout 2 added the shared ``problem``
+# header; the problem layout is unchanged since its introduction, so
+# problem files written before the stores merged still load warm.
+_FORMAT_VERSION = 2
+_PROBLEM_FORMAT_VERSION = 1
 _JSON_FORMAT = "repro-msf"
+_JSON_VERSION = 1
 _FINGERPRINT_SALT = b"repro-msf-artifact-v1"
+_PROBLEM_FINGERPRINT_SALT = b"repro-problem-artifact-v1"
 
 
 def update_graph_hash(h, g: CSRGraph) -> None:
     """Feed the canonical graph bytes into an in-progress hash object.
 
     The single definition of "the graph bytes" shared by every
-    content-addressed fingerprint (MSF artifacts here, problem artifacts
-    in :mod:`repro.solve.artifacts`): vertex count, endpoint arrays as
+    content-addressed fingerprint: vertex count, endpoint arrays as
     little-endian int64, and weights in their native int64/float64
     representation with a dtype tag — int64 weights must not round
     through float64 (values beyond 2**53 would collide).
@@ -117,6 +137,46 @@ def graph_fingerprint(
     return h.hexdigest()
 
 
+def problem_fingerprint(
+    g: CSRGraph, problem: str, mode: str | None = None, params: dict | None = None
+) -> str:
+    """SHA-256 content address of ``(graph bytes, problem, mode, params)``.
+
+    Parameters are hashed in sorted-key order with ``repr`` values, so
+    ``source=0`` and ``source=1`` solves of the same graph are distinct
+    artifacts.  The salt differs from :func:`graph_fingerprint`'s, so the
+    two artifact kinds cannot collide even in a shared directory.
+    """
+    h = hashlib.sha256()
+    h.update(_PROBLEM_FINGERPRINT_SALT)
+    update_graph_hash(h, g)
+    h.update(problem.encode())
+    h.update((mode or "default").encode())
+    for key in sorted(params or {}):
+        h.update(f"{key}={params[key]!r};".encode())
+    return h.hexdigest()
+
+
+def artifact_fingerprint(
+    g: CSRGraph,
+    problem: str = MST,
+    mode: str | None = None,
+    *,
+    algorithm: str = "kruskal",
+    params: dict | None = None,
+    shards: int = 0,
+) -> str:
+    """The store address of ``g`` solved for ``problem`` (either kind).
+
+    ``algorithm``/``shards`` name the MST solve (``problem="mst"``),
+    ``params`` a registered problem's.
+    """
+    if problem == MST:
+        solver = "sharded" if shards > 0 else None
+        return graph_fingerprint(g, algorithm, mode, solver=solver, shards=shards)
+    return problem_fingerprint(g, problem, mode, params)
+
+
 @dataclass(frozen=True)
 class MSFArtifact:
     """One immutable solved-MSF artifact.
@@ -126,6 +186,9 @@ class MSFArtifact:
     returns rank ``r`` and ``msf_w[r]`` / ``(msf_u[r], msf_v[r])`` recover
     the bottleneck weight and edge without any global lookup table.
     """
+
+    problem: ClassVar[str] = MST
+    format_version: ClassVar[int] = _FORMAT_VERSION
 
     fingerprint: str
     algorithm: str
@@ -140,8 +203,7 @@ class MSFArtifact:
     index: Optional[dict] = field(default=None, repr=False)
     # Execution provenance: which engine ran ``algorithm`` and at what
     # shard count (``solver="sharded"``, ``shards=4``).  ``None``/``0``
-    # means the plain in-process path, matching every artifact written
-    # before these fields existed.
+    # means the plain in-process path.
     solver: Optional[str] = None
     shards: int = 0
 
@@ -161,6 +223,127 @@ class MSFArtifact:
         ranks = np.arange(self.msf_u.size, dtype=np.int64)
         return ForestPathMax(self.n_vertices, self.msf_u, self.msf_v, ranks)
 
+    def _payload(self) -> dict:
+        payload = {
+            "algorithm": np.str_(self.algorithm),
+            "n_components": np.int64(self.n_components),
+            "solver": np.str_(self.solver or ""),
+            "shards": np.int64(self.shards),
+            # int totals persist as int64 (exact); floats as float64.
+            "total_weight": np.asarray(self.total_weight),
+            "msf_u": self.msf_u,
+            "msf_v": self.msf_v,
+            "msf_w": self.msf_w,
+            "msf_edge_ids": self.msf_edge_ids,
+            "has_index": np.bool_(self.index is not None),
+        }
+        for key, arr in (self.index or {}).items():
+            payload[f"index_{key}"] = arr
+        return payload
+
+    @classmethod
+    def _from_payload(cls, data, **header) -> "MSFArtifact":
+        index = None
+        if bool(data["has_index"]):
+            index = {
+                key: np.array(data[f"index_{key}"])
+                for key in ("depth", "comp", "up", "mx")
+            }
+        return cls(
+            **header,
+            algorithm=str(data["algorithm"].item()),
+            msf_u=np.array(data["msf_u"], dtype=np.int64),
+            msf_v=np.array(data["msf_v"], dtype=np.int64),
+            # Native dtype: int64 weights must not round through float64.
+            msf_w=np.array(data["msf_w"]),
+            msf_edge_ids=np.array(data["msf_edge_ids"], dtype=np.int64),
+            total_weight=np.asarray(data["total_weight"]).item(),
+            n_components=int(data["n_components"]),
+            index=index,
+            solver=str(data["solver"].item()) or None,
+            shards=int(data["shards"]),
+        )
+
+    def _validate(self, path) -> None:
+        """Forest bounds: at most n - 1 edges, in range, components consistent."""
+        n, k = self.n_vertices, self.n_forest_edges
+        if n < 0 or (n == 0 and k > 0) or (n > 0 and k > n - 1):
+            raise ServiceError(f"corrupted artifact {path}: edge count exceeds forest bound")
+        if not (self.msf_u.shape == self.msf_v.shape == self.msf_w.shape):
+            raise ServiceError(f"corrupted artifact {path}: edge arrays disagree")
+        if k and (
+            int(min(self.msf_u.min(), self.msf_v.min())) < 0
+            or int(max(self.msf_u.max(), self.msf_v.max())) >= n
+        ):
+            raise ServiceError(f"corrupted artifact {path}: vertex id out of range")
+        if self.n_components != n - k:
+            raise ServiceError(f"corrupted artifact {path}: component count inconsistent")
+
+
+@dataclass(frozen=True)
+class ProblemArtifact:
+    """One immutable solved-problem artifact.
+
+    ``arrays`` holds exactly the problem's registry schema
+    (``dist``/``parent``/``parent_edge`` for SSSP, ``labels`` for CC);
+    ``scalars`` the JSON-safe summary values (``source``,
+    ``n_components``, ...); ``params`` the solve parameters that entered
+    the fingerprint.
+    """
+
+    format_version: ClassVar[int] = _PROBLEM_FORMAT_VERSION
+
+    fingerprint: str
+    problem: str
+    mode: Optional[str]
+    n_vertices: int
+    arrays: Dict[str, np.ndarray] = field(repr=False)
+    scalars: Dict[str, object] = field(default_factory=dict)
+    params: Dict[str, object] = field(default_factory=dict)
+
+    def _payload(self) -> dict:
+        payload = {
+            "scalars_json": np.str_(json.dumps(self.scalars, sort_keys=True)),
+            "params_json": np.str_(json.dumps(self.params, sort_keys=True)),
+            "array_names": np.array(sorted(self.arrays), dtype=np.str_),
+        }
+        for name in sorted(self.arrays):
+            payload[f"arr_{name}"] = self.arrays[name]
+        return payload
+
+    @classmethod
+    def _from_payload(cls, data, **header) -> "ProblemArtifact":
+        names = [str(x) for x in np.array(data["array_names"])]
+        return cls(
+            **header,
+            problem=str(data["problem"].item()),
+            arrays={name: np.array(data[f"arr_{name}"]) for name in names},
+            scalars=json.loads(str(data["scalars_json"].item())),
+            params=json.loads(str(data["params_json"].item())),
+        )
+
+    def _validate(self, path) -> None:
+        """The array schema and shapes the problem's registry row names."""
+        from repro.solve.registry import problem_info
+
+        try:
+            info = problem_info(self.problem)
+        except Exception as exc:
+            raise ServiceError(
+                f"corrupted artifact {path}: unknown problem {self.problem!r}"
+            ) from exc
+        if sorted(self.arrays) != sorted(info.arrays):
+            raise ServiceError(
+                f"corrupted artifact {path}: array schema {sorted(self.arrays)} "
+                f"does not match problem {self.problem!r} ({sorted(info.arrays)})"
+            )
+        for name, arr in self.arrays.items():
+            if arr.ndim != 1 or arr.size != self.n_vertices:
+                raise ServiceError(
+                    f"corrupted artifact {path}: array {name!r} has shape "
+                    f"{arr.shape}, expected ({self.n_vertices},)"
+                )
+
 
 def artifact_from_result(
     g: CSRGraph,
@@ -171,13 +354,15 @@ def artifact_from_result(
     build_index: bool = True,
     solver: str | None = None,
     shards: int = 0,
+    fingerprint: str | None = None,
 ) -> MSFArtifact:
     """Package an already-computed :class:`MSTResult` as an artifact.
 
-    Used both by the store (after running the registry algorithm) and by
-    the CLI's ``mst --save`` (which has the result in hand and should not
-    pay for a second solve).  ``solver``/``shards`` stamp execution
-    provenance into the artifact and its fingerprint.
+    Used both by :func:`solve_artifact` and by the CLI's ``mst --save``
+    (which has the result in hand and should not pay for a second solve).
+    ``solver``/``shards`` stamp execution provenance into the artifact and
+    its fingerprint; ``fingerprint`` skips re-hashing the graph when the
+    caller already has the address.
     """
     eids = np.asarray(result.edge_ids, dtype=np.int64)
     order = np.argsort(g.ranks[eids], kind="stable") if eids.size else eids
@@ -194,7 +379,8 @@ def artifact_from_result(
         local = np.arange(eids.size, dtype=np.int64)
         index = ForestPathMax(g.n_vertices, fu, fv, local).index_arrays()
     return MSFArtifact(
-        fingerprint=graph_fingerprint(g, algorithm, mode, solver=solver, shards=shards),
+        fingerprint=fingerprint
+        or graph_fingerprint(g, algorithm, mode, solver=solver, shards=shards),
         algorithm=algorithm,
         mode=mode,
         n_vertices=g.n_vertices,
@@ -210,29 +396,48 @@ def artifact_from_result(
     )
 
 
-def build_artifact(
+def solve_artifact(
     g: CSRGraph,
-    algorithm: str = "kruskal",
+    problem: str = MST,
     mode: str | None = None,
     *,
-    backend=None,
+    algorithm: str = "kruskal",
+    params: dict | None = None,
     shards: int = 0,
+    fingerprint: str | None = None,
+    backend=None,
     partition: str = "hash",
     executor: str = "auto",
     pool=None,
     tenant: str = "default",
-) -> MSFArtifact:
-    """Solve ``g`` with a registry algorithm and package the artifact.
+):
+    """Solve ``g`` for ``problem`` and package the artifact.
 
-    ``shards > 0`` routes the solve through the sharded multiprocess
-    coordinator with ``algorithm``/``mode`` as the per-shard local solver;
-    the artifact records ``solver="sharded"`` provenance and fingerprints
-    separately from the plain in-process build.  ``executor`` is the
-    coordinator's execution mode and only matters for sharded builds, as
-    do ``pool``/``tenant`` — a shared
-    :class:`~repro.platform.pool.WorkerPool` (and the tenant its jobs
-    bill to) for the coordinator's shard attempts.
+    The one place that tells an MST solve from a registered problem's:
+    the store's miss path, the platform's background rebuilds and
+    ``repro solve`` all come through here.  ``problem="mst"`` runs the
+    MST registry ``algorithm``; ``shards > 0`` routes it through the
+    sharded multiprocess coordinator with ``algorithm``/``mode`` as the
+    per-shard local solver (``partition``, ``executor`` and a shared
+    ``pool`` billed to ``tenant`` steer that run), and the artifact
+    records ``solver="sharded"`` provenance.  Any other name runs that
+    registered problem with ``params``.  ``fingerprint`` is the address
+    when the caller already hashed the graph.
     """
+    if problem != MST:
+        from repro.solve.registry import get_problem
+
+        params = dict(params or {})
+        result = get_problem(problem, mode)(g, backend=backend, **params)
+        return ProblemArtifact(
+            fingerprint=fingerprint or problem_fingerprint(g, problem, mode, params),
+            problem=problem,
+            mode=mode,
+            n_vertices=g.n_vertices,
+            arrays={k: np.asarray(v) for k, v in result.arrays().items()},
+            scalars=dict(result.scalars()),
+            params=params,
+        )
     if shards > 0:
         from repro.shard.coordinator import sharded_mst
 
@@ -241,12 +446,93 @@ def build_artifact(
             mode=mode, executor=executor, pool=pool, tenant=tenant,
         )
         return artifact_from_result(
-            g, result, algorithm, mode, solver="sharded", shards=shards
+            g, result, algorithm, mode, solver="sharded", shards=shards,
+            fingerprint=fingerprint,
         )
     from repro.mst.registry import get_algorithm
 
     result = get_algorithm(algorithm, mode=mode)(g, backend=backend)
-    return artifact_from_result(g, result, algorithm, mode)
+    return artifact_from_result(g, result, algorithm, mode, fingerprint=fingerprint)
+
+
+# ----------------------------------------------------------------------
+# The .npz writer and reader (both kinds)
+# ----------------------------------------------------------------------
+def save_npz_artifact(artifact, path: str | Path) -> Path:
+    """Atomically write one artifact of either kind; returns ``path``.
+
+    Each write goes through its own temporary file beside ``path``, so
+    concurrent writers of one artifact (two processes booting the same
+    graph cold on one store) never share it: every ``os.replace``
+    installs a complete file.  A failed write removes its temporary file.
+    """
+    path = Path(path)
+    payload = {
+        "format_version": np.int64(artifact.format_version),
+        "fingerprint": np.str_(artifact.fingerprint),
+        "problem": np.str_(artifact.problem),
+        "mode": np.str_(artifact.mode or ""),
+        "n_vertices": np.int64(artifact.n_vertices),
+        **artifact._payload(),
+    }
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez_compressed(fh, **payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def load_npz_artifact(path: str | Path, expect_fingerprint: str | None = None):
+    """Deserialise one ``.npz`` artifact of either kind.
+
+    The ``problem`` header picks the payload layout (a file without one
+    predates it: MSF layout 1, refused as an old version).  Raises
+    :class:`~repro.errors.ServiceError` — never a raw traceback — on
+    truncated files, missing fields, version mismatches, fingerprint
+    disagreement, or a failed structural check.
+    """
+    path = Path(path)
+    try:
+        # Our own handle: np.load leaks the one it opens when the zip
+        # directory is unreadable.
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+            problem = str(data["problem"].item()) if "problem" in data.files else MST
+            kind = MSFArtifact if problem == MST else ProblemArtifact
+            version = int(data["format_version"])
+            if version != kind.format_version:
+                raise ServiceError(f"unsupported artifact version {version} in {path}")
+            fingerprint = str(data["fingerprint"].item())
+            if expect_fingerprint is not None and fingerprint != expect_fingerprint:
+                raise ServiceError(
+                    f"artifact fingerprint mismatch in {path}: file claims "
+                    f"{fingerprint[:12]}..., expected {expect_fingerprint[:12]}..."
+                )
+            artifact = kind._from_payload(
+                data,
+                fingerprint=fingerprint,
+                mode=str(data["mode"].item()) or None,
+                n_vertices=int(data["n_vertices"]),
+            )
+    except ServiceError:
+        raise
+    except (
+        OSError,
+        KeyError,
+        ValueError,
+        zipfile.BadZipFile,
+        EOFError,
+        # Bit flips / garbage inside a zip member surface from the
+        # decompressor and the header parser, not from zipfile.
+        zlib.error,
+        struct.error,
+    ) as exc:
+        raise ServiceError(f"corrupted artifact file {path}: {exc}") from exc
+    artifact._validate(path)
+    return artifact
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +550,7 @@ def save_json_artifact(artifact: MSFArtifact, path: str | Path) -> None:
     scal = int if int_w else float
     payload = {
         "format": _JSON_FORMAT,
-        "version": _FORMAT_VERSION,
+        "version": _JSON_VERSION,
         "fingerprint": artifact.fingerprint,
         "algorithm": artifact.algorithm,
         "mode": artifact.mode,
@@ -292,7 +578,7 @@ def load_json_artifact(path: str | Path) -> MSFArtifact:
     try:
         if payload["format"] != _JSON_FORMAT:
             raise ServiceError(f"not an MSF artifact: {path}")
-        if int(payload["version"]) != _FORMAT_VERSION:
+        if int(payload["version"]) != _JSON_VERSION:
             raise ServiceError(
                 f"unsupported artifact version {payload['version']} in {path}"
             )
@@ -322,31 +608,15 @@ def load_json_artifact(path: str | Path) -> MSFArtifact:
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ServiceError(f"corrupted JSON artifact {path}: {exc}") from exc
-    _validate(artifact, path)
+    artifact._validate(path)
     return artifact
-
-
-def _validate(artifact: MSFArtifact, path) -> None:
-    """Structural sanity of a deserialised artifact (clean errors)."""
-    n, k = artifact.n_vertices, artifact.n_forest_edges
-    if n < 0 or (n == 0 and k > 0) or (n > 0 and k > n - 1):
-        raise ServiceError(f"corrupted artifact {path}: edge count exceeds forest bound")
-    if not (artifact.msf_u.shape == artifact.msf_v.shape == artifact.msf_w.shape):
-        raise ServiceError(f"corrupted artifact {path}: edge arrays disagree")
-    if k and (
-        int(min(artifact.msf_u.min(), artifact.msf_v.min())) < 0
-        or int(max(artifact.msf_u.max(), artifact.msf_v.max())) >= n
-    ):
-        raise ServiceError(f"corrupted artifact {path}: vertex id out of range")
-    if artifact.n_components != n - k:
-        raise ServiceError(f"corrupted artifact {path}: component count inconsistent")
 
 
 # ----------------------------------------------------------------------
 # The on-disk store
 # ----------------------------------------------------------------------
 class ArtifactStore:
-    """Directory-backed content-addressed cache of MSF artifacts.
+    """Directory-backed content-addressed cache of artifacts of every kind.
 
     Files live at ``<root>/<fingerprint>.npz``; the fingerprint in the
     file is cross-checked against the file name on load, so a renamed or
@@ -367,33 +637,30 @@ class ArtifactStore:
     def __contains__(self, fingerprint: str) -> bool:
         return self.path_for(fingerprint).exists()
 
-    # ------------------------------------------------------------------
     def get_or_compute(
         self,
         g: CSRGraph,
-        algorithm: str = "kruskal",
+        problem: str = MST,
         mode: str | None = None,
         *,
-        backend=None,
+        algorithm: str = "kruskal",
+        params: dict | None = None,
         shards: int = 0,
-        partition: str = "hash",
-        executor: str = "auto",
-        pool=None,
-        tenant: str = "default",
-    ) -> tuple[MSFArtifact, bool]:
-        """Serve ``g``'s artifact, computing and persisting it on miss.
+        **execution,
+    ):
+        """Serve ``g``'s artifact, solving and persisting it on a miss.
 
-        Returns ``(artifact, cache_hit)``.  A corrupted or
+        Returns ``(artifact, cache_hit)``.  ``problem``, ``mode``,
+        ``algorithm``, ``params`` and ``shards`` name the artifact (see
+        :func:`artifact_fingerprint`); ``execution`` (``backend``,
+        ``partition``, ``executor``, ``pool``, ``tenant``) only steers a
+        miss's :func:`solve_artifact`.  A corrupted or
         version-incompatible cached file counts as a miss: it is
         recomputed and overwritten (graceful degradation), never raised
-        out of this method.  ``shards > 0`` builds cold artifacts through
-        the sharded coordinator (and addresses them separately — sharded
-        and plain builds of the same graph are distinct artifacts).
+        out of this method.
         """
-        solver = "sharded" if shards > 0 else None
-        fingerprint = graph_fingerprint(
-            g, algorithm, mode, solver=solver, shards=shards
-        )
+        recipe = {"algorithm": algorithm, "params": params, "shards": shards}
+        fingerprint = artifact_fingerprint(g, problem, mode, **recipe)
         path = self.path_for(fingerprint)
         if path.exists():
             try:
@@ -403,46 +670,17 @@ class ArtifactStore:
             except ServiceError:
                 self.corrupt_replaced += 1
         self.misses += 1
-        artifact = build_artifact(
-            g, algorithm, mode, backend=backend, shards=shards,
-            partition=partition, executor=executor, pool=pool, tenant=tenant,
+        artifact = solve_artifact(
+            g, problem, mode, fingerprint=fingerprint, **recipe, **execution
         )
         self.save(artifact)
         return artifact, False
 
-    def put(self, artifact: MSFArtifact) -> Path:
-        """Persist an externally built artifact (e.g. after a mutation)."""
-        return self.save(artifact)
-
-    def save(self, artifact: MSFArtifact) -> Path:
+    def save(self, artifact) -> Path:
         """Atomically write one artifact; returns its path."""
-        path = self.path_for(artifact.fingerprint)
-        tmp = path.with_suffix(".tmp.npz")
-        index = artifact.index or {}
-        payload = {
-            "format_version": np.int64(_FORMAT_VERSION),
-            "fingerprint": np.str_(artifact.fingerprint),
-            "algorithm": np.str_(artifact.algorithm),
-            "mode": np.str_(artifact.mode or ""),
-            "n_vertices": np.int64(artifact.n_vertices),
-            "n_components": np.int64(artifact.n_components),
-            "solver": np.str_(artifact.solver or ""),
-            "shards": np.int64(artifact.shards),
-            # int totals persist as int64 (exact); floats as float64.
-            "total_weight": np.asarray(artifact.total_weight),
-            "msf_u": artifact.msf_u,
-            "msf_v": artifact.msf_v,
-            "msf_w": artifact.msf_w,
-            "msf_edge_ids": artifact.msf_edge_ids,
-            "has_index": np.bool_(artifact.index is not None),
-        }
-        for key, arr in index.items():
-            payload[f"index_{key}"] = arr
-        np.savez_compressed(tmp, **payload)
-        os.replace(tmp, path)
-        return path
+        return save_npz_artifact(artifact, self.path_for(artifact.fingerprint))
 
-    def load(self, path: str | Path, expect_fingerprint: str | None = None) -> MSFArtifact:
+    def load(self, path: str | Path, expect_fingerprint: str | None = None):
         """Deserialise one ``.npz`` artifact (see :func:`load_npz_artifact`)."""
         return load_npz_artifact(path, expect_fingerprint)
 
@@ -462,68 +700,3 @@ class ArtifactStore:
             "misses": self.misses,
             "corrupt_replaced": self.corrupt_replaced,
         }
-
-
-def load_npz_artifact(
-    path: str | Path, expect_fingerprint: str | None = None
-) -> MSFArtifact:
-    """Deserialise one ``.npz`` artifact.
-
-    Raises :class:`~repro.errors.ServiceError` — never a raw traceback —
-    on truncated files, missing fields, version mismatches, or
-    fingerprint disagreement.
-    """
-    path = Path(path)
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            version = int(data["format_version"])
-            if version != _FORMAT_VERSION:
-                raise ServiceError(f"unsupported artifact version {version} in {path}")
-            fingerprint = str(data["fingerprint"].item())
-            if expect_fingerprint is not None and fingerprint != expect_fingerprint:
-                raise ServiceError(
-                    f"artifact fingerprint mismatch in {path}: file claims "
-                    f"{fingerprint[:12]}..., expected {expect_fingerprint[:12]}..."
-                )
-            mode = str(data["mode"].item()) or None
-            index = None
-            if bool(data["has_index"]):
-                index = {
-                    key: np.array(data[f"index_{key}"])
-                    for key in ("depth", "comp", "up", "mx")
-                }
-            artifact = MSFArtifact(
-                fingerprint=fingerprint,
-                algorithm=str(data["algorithm"].item()),
-                mode=mode,
-                n_vertices=int(data["n_vertices"]),
-                msf_u=np.array(data["msf_u"], dtype=np.int64),
-                msf_v=np.array(data["msf_v"], dtype=np.int64),
-                # Native dtype: int64 weights must not round through float64.
-                msf_w=np.array(data["msf_w"]),
-                msf_edge_ids=np.array(data["msf_edge_ids"], dtype=np.int64),
-                total_weight=np.asarray(data["total_weight"]).item(),
-                n_components=int(data["n_components"]),
-                index=index,
-                # Keys absent from pre-provenance files: plain path.
-                solver=(str(data["solver"].item()) or None)
-                if "solver" in data.files
-                else None,
-                shards=int(data["shards"]) if "shards" in data.files else 0,
-            )
-    except ServiceError:
-        raise
-    except (
-        OSError,
-        KeyError,
-        ValueError,
-        zipfile.BadZipFile,
-        EOFError,
-        # Bit flips / garbage inside a zip member surface from the
-        # decompressor and the header parser, not from zipfile.
-        zlib.error,
-        struct.error,
-    ) as exc:
-        raise ServiceError(f"corrupted artifact file {path}: {exc}") from exc
-    _validate(artifact, path)
-    return artifact

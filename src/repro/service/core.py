@@ -1,13 +1,20 @@
-"""`MSTService` — the scriptable compute-once/serve-many front door.
+"""The compute-once/serve-many front doors and the lifecycle they share.
 
-Ties the serving layers together: the content-addressed
-:class:`~repro.service.artifacts.ArtifactStore` (MSF computed at most once
-per graph content), the vectorized
-:class:`~repro.service.engine.QueryEngine` (batched answers), the
-:class:`~repro.service.metrics.ServiceMetrics` recorder, and incremental
-mutation via :class:`~repro.mst.dynamic.DynamicMSF` — an edge insert or
-delete repairs the maintained forest and rebuilds only the O(n log n)
-query index, never re-solving the MSF from scratch.
+:class:`ArtifactService` is the lifecycle every artifact-backed query
+service shares: the content-addressed
+:class:`~repro.service.artifacts.ArtifactStore` (each artifact solved at
+most once per graph content), offline artifact files, lazy rebuilds
+after invalidation, atomic artifact swaps, and the
+:class:`~repro.service.metrics.ServiceMetrics` recorder.  A subclass
+names only its artifact recipe, its engine, and its typed queries.
+
+:class:`MSTService` is the MST one: the vectorized
+:class:`~repro.service.engine.QueryEngine` (batched answers) plus
+incremental mutation via :class:`~repro.mst.dynamic.DynamicMSF` — an
+edge insert or delete repairs the maintained forest and rebuilds only
+the O(n log n) query index, never re-solving the MSF from scratch.
+:class:`~repro.solve.service.ProblemService` is the same lifecycle for
+the registered problems, and :func:`service_for` picks between them.
 
 Typical use::
 
@@ -24,31 +31,191 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ServiceError
+from repro.errors import ServiceError, WeightError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.tree_queries import ForestPathMax
 from repro.mst.dynamic import DynamicMSF
 from repro.obs.trace import span as _obs_span
 from repro.service.artifacts import (
+    MST,
     ArtifactStore,
     MSFArtifact,
-    build_artifact,
     graph_fingerprint,
     load_json_artifact,
     load_npz_artifact,
+    solve_artifact,
 )
-from repro.service.engine import QueryEngine
+from repro.service.engine import QUERY_KINDS, QueryEngine
 from repro.service.metrics import ServiceMetrics
 
-__all__ = ["MSTService"]
+__all__ = ["ArtifactService", "MSTService", "service_for"]
 
 
-class MSTService:
+class ArtifactService:
+    """Query service over one content-addressed artifact at a time.
+
+    Subclasses set ``problem`` (the artifact kind they host),
+    ``query_kinds`` (the async front-end's admission table) and
+    ``_engine_type``, and return their solve recipe from :meth:`_recipe`
+    — the keywords :meth:`ArtifactStore.get_or_compute` addresses and
+    solves by.
+    """
+
+    problem: str
+    query_kinds: Tuple[str, ...]
+    _engine_type: type
+
+    def __init__(
+        self,
+        store: ArtifactStore | str | Path | None,
+        *,
+        mode: str | None,
+        backend,
+        metrics: ServiceMetrics | None,
+    ) -> None:
+        if isinstance(store, (str, Path)):
+            store = ArtifactStore(store)
+        self.store = store
+        self.mode = mode
+        self.backend = backend
+        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self._engine = None
+        self._graph: Optional[CSRGraph] = None
+
+    def _recipe(self) -> dict:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Loading
+    # ------------------------------------------------------------------
+    def load_graph(self, g: CSRGraph):
+        """Serve ``g``: reuse its cached artifact or solve once and persist.
+
+        Without a store the solve always happens in process (the graceful
+        no-persistence degradation); with one, a warm hit deserialises
+        the artifact (for MST, the forest and its prebuilt index) without
+        touching a solver.
+        """
+        with _obs_span(
+            "service:load_graph", "service", problem=self.problem,
+            n_vertices=g.n_vertices, n_edges=g.n_edges,
+        ) as sp:
+            recipe = self._recipe()
+            if self.store is not None:
+                artifact, hit = self.store.get_or_compute(
+                    g, self.problem, self.mode, backend=self.backend, **recipe
+                )
+            else:
+                artifact = solve_artifact(
+                    g, self.problem, self.mode, backend=self.backend, **recipe
+                )
+                hit = False
+            sp.set_attr("artifact_hit", hit)
+            self.metrics.record_artifact(hit)
+            self._serve(artifact, g)
+            return artifact
+
+    def load_artifact(self, path: str | Path):
+        """Serve a saved artifact file (offline mode; no graph needed).
+
+        Accepts the store's ``.npz`` files and the portable JSON written
+        by ``repro mst --save``; a file solving another problem is
+        refused by name.  Offline mode cannot rebuild or mutate: the
+        graph is not part of an artifact.
+        """
+        path = Path(path)
+        if path.suffix.lower() == ".json":
+            artifact = load_json_artifact(path)
+        else:
+            artifact = load_npz_artifact(path)
+        self._check_kind(artifact)
+        self.metrics.record_artifact(True)
+        self._serve(artifact, None)
+        return artifact
+
+    def _serve(self, artifact, graph: Optional[CSRGraph]) -> None:
+        self._graph = graph
+        self._engine = self._engine_type(artifact, backend=self.backend)
+
+    def _check_kind(self, artifact) -> None:
+        if artifact.problem != self.problem:
+            raise ServiceError(
+                f"artifact solves {artifact.problem!r}, service hosts "
+                f"{self.problem!r}"
+            )
+
+    def ensure_ready(self):
+        """The live engine, synchronously (re)building it when required.
+
+        This is the degradation path the async front-end leans on: a
+        query arriving after an artifact invalidation triggers an inline
+        recompute instead of an error.
+        """
+        if self._engine is None:
+            if self._graph is None:
+                raise ServiceError("no graph or artifact loaded; call load_graph first")
+            self.load_graph(self._graph)
+        return self._engine
+
+    @property
+    def artifact(self):
+        """The currently served artifact."""
+        return self.ensure_ready().artifact
+
+    @property
+    def graph(self) -> Optional[CSRGraph]:
+        """The currently served graph (``None`` in offline-artifact mode).
+
+        For MST this reflects mutations: after ``insert_edge`` /
+        ``delete_edge`` it is the maintained snapshot, which is what the
+        platform's background rebuild scheduler re-solves from.
+        """
+        return self._graph
+
+    def adopt_artifact(self, artifact) -> None:
+        """Atomically swap the served artifact for ``artifact``.
+
+        The background-rebuild hand-off: the new engine is constructed
+        off to the side and installed with one reference assignment, so
+        concurrent queries see either the old complete artifact or the
+        new complete artifact, never a half-built one.  The artifact is
+        also persisted to the store (when there is one).
+        """
+        self._check_kind(artifact)
+        engine = self._engine_type(artifact, backend=self.backend)
+        if self.store is not None:
+            self.store.save(artifact)
+        self._engine = engine
+
+    def invalidate(self) -> None:
+        """Drop the live engine (next query rebuilds via :meth:`ensure_ready`)."""
+        self._engine = None
+
+    # ------------------------------------------------------------------
+    # Query plumbing — scalars or array-likes in, matching shape out
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _descalar(value, scalar: bool):
+        return value[0].item() if scalar and np.ndim(value) else value
+
+    def _timed(self, kind: str, fn):
+        t0 = time.perf_counter()
+        with _obs_span(f"query:{kind}", "service"):
+            out = fn()
+        self.metrics.record_query(kind, time.perf_counter() - t0)
+        return out
+
+
+class MSTService(ArtifactService):
     """Query service over precomputed minimum spanning forests."""
+
+    problem = MST
+    query_kinds = QUERY_KINDS
+    _engine_type = QueryEngine
 
     def __init__(
         self,
@@ -64,12 +231,8 @@ class MSTService:
         pool=None,
         tenant: str = "default",
     ) -> None:
-        if isinstance(store, (str, Path)):
-            store = ArtifactStore(store)
-        self.store = store
+        super().__init__(store, mode=mode, backend=backend, metrics=metrics)
         self.algorithm = algorithm
-        self.mode = mode
-        self.backend = backend
         # shards > 0 opts cold builds into the sharded multiprocess
         # coordinator (repro.shard); warm loads and queries are unaffected.
         # executor picks the coordinator's execution mode ("auto" lets it
@@ -81,123 +244,22 @@ class MSTService:
         self.executor = executor
         self.pool = pool
         self.tenant = tenant
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self._engine: Optional[QueryEngine] = None
-        self._graph: Optional[CSRGraph] = None
         self._dyn: Optional[DynamicMSF] = None
 
-    # ------------------------------------------------------------------
-    # Loading
-    # ------------------------------------------------------------------
-    def load_graph(self, g: CSRGraph) -> MSFArtifact:
-        """Serve ``g``: reuse its cached artifact or solve once and persist.
+    def _recipe(self) -> dict:
+        return {
+            "algorithm": self.algorithm, "shards": self.shards,
+            "partition": self.partition, "executor": self.executor,
+            "pool": self.pool, "tenant": self.tenant,
+        }
 
-        Without a store the solve always happens in process (the graceful
-        no-persistence degradation); with one, a warm hit deserialises the
-        forest and its prebuilt index without touching the MST registry.
-        """
-        with _obs_span(
-            "service:load_graph", "service", algorithm=self.algorithm,
-            n_vertices=g.n_vertices, n_edges=g.n_edges,
-        ) as sp:
-            if self.store is not None:
-                artifact, hit = self.store.get_or_compute(
-                    g, self.algorithm, self.mode, backend=self.backend,
-                    shards=self.shards, partition=self.partition,
-                    executor=self.executor, pool=self.pool, tenant=self.tenant,
-                )
-            else:
-                artifact = build_artifact(
-                    g, self.algorithm, self.mode, backend=self.backend,
-                    shards=self.shards, partition=self.partition,
-                    executor=self.executor, pool=self.pool, tenant=self.tenant,
-                )
-                hit = False
-            sp.set_attr("artifact_hit", hit)
-            self.metrics.record_artifact(hit)
-            self._graph = g
-            self._dyn = None
-            self._engine = QueryEngine(artifact, backend=self.backend)
-            return artifact
-
-    def load_artifact(self, path: str | Path) -> MSFArtifact:
-        """Serve a saved artifact file (offline mode; no graph needed).
-
-        Accepts both the store's ``.npz`` format and the portable JSON
-        written by ``repro mst --save``.  Mutations are unavailable in
-        offline mode (the non-tree edges are not part of an artifact).
-        """
-        path = Path(path)
-        if path.suffix.lower() == ".json":
-            artifact = load_json_artifact(path)
-        else:
-            artifact = load_npz_artifact(path)
-        self.metrics.record_artifact(True)
-        self._graph = None
+    def _serve(self, artifact, graph: Optional[CSRGraph]) -> None:
         self._dyn = None
-        self._engine = QueryEngine(artifact, backend=self.backend)
-        return artifact
-
-    def ensure_ready(self) -> QueryEngine:
-        """The live engine, synchronously (re)building it when required.
-
-        This is the degradation path the async front-end leans on: a
-        query arriving after an artifact invalidation triggers an inline
-        recompute instead of an error.
-        """
-        if self._engine is None:
-            if self._graph is None:
-                raise ServiceError("no graph or artifact loaded; call load_graph first")
-            self.load_graph(self._graph)
-        return self._engine
-
-    @property
-    def artifact(self) -> MSFArtifact:
-        """The currently served artifact."""
-        return self.ensure_ready().artifact
-
-    @property
-    def graph(self) -> Optional[CSRGraph]:
-        """The currently served graph (``None`` in offline-artifact mode).
-
-        Reflects mutations: after ``insert_edge``/``delete_edge`` this is
-        the maintained snapshot, which is what the platform's background
-        rebuild scheduler re-solves from.
-        """
-        return self._graph
-
-    def adopt_artifact(self, artifact: MSFArtifact) -> None:
-        """Atomically swap the served artifact for ``artifact``.
-
-        The background-rebuild hand-off: the new engine is constructed
-        off to the side and installed with one reference assignment, so
-        concurrent queries see either the old complete artifact or the
-        new complete artifact, never a half-built one.  The artifact is
-        also persisted to the store (when there is one).
-        """
-        engine = QueryEngine(artifact, backend=self.backend)
-        if self.store is not None:
-            self.store.put(artifact)
-        self._engine = engine
-
-    def invalidate(self) -> None:
-        """Drop the live engine (next query rebuilds via :meth:`ensure_ready`)."""
-        self._engine = None
+        super()._serve(artifact, graph)
 
     # ------------------------------------------------------------------
-    # Queries — scalars or array-likes in, matching shape out
+    # Queries
     # ------------------------------------------------------------------
-    @staticmethod
-    def _descalar(value, scalar: bool):
-        return value[0].item() if scalar and np.ndim(value) else value
-
-    def _timed(self, kind: str, fn):
-        t0 = time.perf_counter()
-        with _obs_span(f"query:{kind}", "service"):
-            out = fn()
-        self.metrics.record_query(kind, time.perf_counter() - t0)
-        return out
-
     def connected(self, us, vs):
         """Same-tree test; scalar in scalar out, batch in batch out."""
         scalar = np.ndim(us) == 0
@@ -253,10 +315,15 @@ class MSTService:
 
         Returns the edge's id in the dynamic edge store.  The maintained
         forest is repaired in O(n) (cycle property swap) and only the
-        query index is rebuilt — the MSF is never re-solved.
+        query index is rebuilt — the MSF is never re-solved.  ``w`` keeps
+        the graph's weight dtype; a weight that dtype cannot hold exactly
+        raises :class:`~repro.errors.ServiceError`.
         """
         dyn = self._require_dynamic()
-        eid = dyn.insert_edge(int(u), int(v), float(w))
+        try:
+            eid = dyn.insert_edge(int(u), int(v), w)
+        except WeightError as exc:
+            raise ServiceError(str(exc)) from exc
         self._refresh_from_dynamic()
         return eid
 
@@ -305,12 +372,13 @@ class MSTService:
             msf_v=fv,
             msf_w=fw,
             msf_edge_ids=feids,
-            total_weight=float(fw.sum()) if fw.size else 0.0,
+            # A Python int for int64 weights (exact), a float otherwise.
+            total_weight=fw.sum().item(),
             n_components=dyn.n_components,
             index=index,
         )
         if self.store is not None:
-            self.store.put(artifact)
+            self.store.save(artifact)
         self._engine = QueryEngine(artifact, backend=self.backend)
 
     # ------------------------------------------------------------------
@@ -319,3 +387,28 @@ class MSTService:
         from repro.service.artifacts import save_json_artifact
 
         save_json_artifact(self.artifact, path)
+
+
+def service_for(
+    problem: str,
+    store: ArtifactStore | str | Path | None = None,
+    *,
+    mode: str | None = "auto",
+    metrics: ServiceMetrics | None = None,
+    params: dict | None = None,
+    **mst_options,
+) -> ArtifactService:
+    """The service hosting ``problem`` — the one place that picks it.
+
+    ``"mst"`` gets an :class:`MSTService` built with ``mst_options``
+    (``algorithm``, ``shards``, ``pool``, ``tenant``, ...); any registered
+    problem gets a :class:`~repro.solve.service.ProblemService` solving
+    with ``params``.  Options of the other kind are ignored.
+    """
+    if problem == MST:
+        return MSTService(store, mode=mode, metrics=metrics, **mst_options)
+    from repro.solve.service import ProblemService
+
+    return ProblemService(
+        store, problem=problem, mode=mode, metrics=metrics, **(params or {})
+    )

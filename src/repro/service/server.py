@@ -32,7 +32,6 @@ import numpy as np
 from repro.errors import ServiceError, ServiceOverloadError, ServiceTimeoutError
 from repro.obs.trace import span as _obs_span
 from repro.service.core import MSTService
-from repro.service.engine import QUERY_KINDS
 
 __all__ = ["AsyncMSTService"]
 
@@ -54,11 +53,10 @@ class AsyncMSTService:
         if max_batch <= 0 or max_pending <= 0:
             raise ServiceError("max_batch and max_pending must be positive")
         self.service = service
-        # The admissible query kinds come from the wrapped service when it
-        # declares them (the problem services of repro.solve do), so this
+        # The admissible query kinds come from the wrapped service, so this
         # front-end serves any engine with an ``execute(kind, us, vs, ws)``
-        # batch entry point — MST keeps its historical global table.
-        self._kinds = tuple(getattr(service, "query_kinds", QUERY_KINDS))
+        # batch entry point — the MSF's and every registered problem's.
+        self._kinds = tuple(service.query_kinds)
         self.max_batch = int(max_batch)
         self.max_delay_s = float(max_delay_s)
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=int(max_pending))

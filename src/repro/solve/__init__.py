@@ -9,24 +9,16 @@ non-MST problems first-class tenants of every production layer:
   registered problems (Bellman-Ford SSSP, hook-and-jump components),
   each with the MST-style loop/vectorized/auto mode split and
   byte-identical results across modes;
-* :mod:`repro.solve.artifacts` — content-addressed ``.npz`` store of
-  solved instances;
 * :mod:`repro.solve.service` — the compute-once/serve-many query
-  service, async-servable through the shared coalescing front-end.
+  service on the MST service's lifecycle and its one artifact store
+  (:mod:`repro.service.artifacts`), async-servable through the shared
+  coalescing front-end.
 
 Differential coverage lives in :mod:`repro.checking.problems`; CLI entry
 points are ``repro solve`` and ``repro query --problem``/``serve
 --problem``.
 """
 
-from repro.solve.artifacts import (
-    ProblemArtifact,
-    ProblemArtifactStore,
-    load_problem_artifact,
-    problem_artifact_from_result,
-    save_problem_artifact,
-    problem_fingerprint,
-)
 from repro.solve.base import ProblemResult
 from repro.solve.cc import CCResult, cc_oracle, solve_cc
 from repro.solve.registry import (
@@ -59,12 +51,6 @@ __all__ = [
     "CCResult",
     "solve_cc",
     "cc_oracle",
-    "ProblemArtifact",
-    "ProblemArtifactStore",
-    "problem_fingerprint",
-    "problem_artifact_from_result",
-    "load_problem_artifact",
-    "save_problem_artifact",
     "ProblemQueryEngine",
     "ProblemService",
     "PROBLEM_QUERY_KINDS",

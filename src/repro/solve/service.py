@@ -1,9 +1,10 @@
 """`ProblemService` — the compute-once/serve-many front door per problem.
 
-The :class:`~repro.service.core.MSTService` pattern generalised to any
-registered problem: a content-addressed
-:class:`~repro.solve.artifacts.ProblemArtifactStore` (each instance
-solved at most once per graph content + parameters), a vectorized batch
+The :class:`~repro.service.core.MSTService` lifecycle
+(:class:`~repro.service.core.ArtifactService`) hosting any registered
+problem: the one content-addressed
+:class:`~repro.service.artifacts.ArtifactStore` (each instance solved at
+most once per graph content + parameters), a vectorized batch
 :class:`ProblemQueryEngine` over the artifact's arrays, and the shared
 :class:`~repro.service.metrics.ServiceMetrics` recorder.
 
@@ -28,23 +29,16 @@ Query kinds
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.errors import ServiceError
-from repro.graphs.csr import CSRGraph
-from repro.obs.trace import span as _obs_span
+from repro.service.artifacts import ArtifactStore, ProblemArtifact
+from repro.service.core import ArtifactService
 from repro.service.metrics import ServiceMetrics
-from repro.solve.artifacts import (
-    ProblemArtifact,
-    ProblemArtifactStore,
-    load_problem_artifact,
-    problem_artifact_from_result,
-)
-from repro.solve.registry import get_problem, problem_info
+from repro.solve.registry import problem_info
 
 __all__ = ["ProblemQueryEngine", "ProblemService", "PROBLEM_QUERY_KINDS"]
 
@@ -107,12 +101,14 @@ class ProblemQueryEngine:
         return self._sizes[arrays["labels"][u]]
 
 
-class ProblemService:
+class ProblemService(ArtifactService):
     """Query service over precomputed artifacts of one registered problem."""
+
+    _engine_type = ProblemQueryEngine
 
     def __init__(
         self,
-        store: ProblemArtifactStore | str | Path | None = None,
+        store: ArtifactStore | str | Path | None = None,
         *,
         problem: str = "sssp",
         mode: str | None = "auto",
@@ -126,119 +122,18 @@ class ProblemService:
             raise ServiceError(
                 f"problem {problem!r} takes no parameter(s) {', '.join(unknown)}"
             )
-        if isinstance(store, (str, Path)):
-            store = ProblemArtifactStore(store)
-        self.store = store
+        super().__init__(store, mode=mode, backend=backend, metrics=metrics)
         self.problem = problem
-        self.mode = mode
-        self.backend = backend
         self.params = dict(params)
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self._engine: Optional[ProblemQueryEngine] = None
-        self._graph: Optional[CSRGraph] = None
+        # Admissible kinds — the async front-end's admission table.
+        self.query_kinds = PROBLEM_QUERY_KINDS.get(problem, ())
 
-    @property
-    def query_kinds(self) -> Tuple[str, ...]:
-        """Admissible kinds — the async front-end's admission table."""
-        return PROBLEM_QUERY_KINDS.get(self.problem, ())
-
-    # ------------------------------------------------------------------
-    # Loading
-    # ------------------------------------------------------------------
-    def load_graph(self, g: CSRGraph) -> ProblemArtifact:
-        """Serve ``g``: reuse its cached artifact or solve once and persist."""
-        with _obs_span(
-            "service:load_graph", "service", problem=self.problem,
-            n_vertices=g.n_vertices, n_edges=g.n_edges,
-        ) as sp:
-            if self.store is not None:
-                artifact, hit = self.store.get_or_compute(
-                    g, self.problem, self.mode, backend=self.backend,
-                    **self.params,
-                )
-            else:
-                result = get_problem(self.problem, self.mode)(
-                    g, backend=self.backend, **self.params
-                )
-                artifact = problem_artifact_from_result(
-                    g, result, self.problem, self.mode, self.params
-                )
-                hit = False
-            sp.set_attr("artifact_hit", hit)
-            self.metrics.record_artifact(hit)
-            self._graph = g
-            self._engine = ProblemQueryEngine(artifact, backend=self.backend)
-            return artifact
-
-    def load_artifact(self, path: str | Path) -> ProblemArtifact:
-        """Serve a saved ``.npz`` artifact file (offline mode; no graph)."""
-        artifact = load_problem_artifact(path)
-        if artifact.problem != self.problem:
-            raise ServiceError(
-                f"artifact solves {artifact.problem!r}, service hosts "
-                f"{self.problem!r}"
-            )
-        self.metrics.record_artifact(True)
-        self._graph = None
-        self._engine = ProblemQueryEngine(artifact, backend=self.backend)
-        return artifact
-
-    def ensure_ready(self) -> ProblemQueryEngine:
-        """The live engine, synchronously (re)building it when required."""
-        if self._engine is None:
-            if self._graph is None:
-                raise ServiceError(
-                    "no graph or artifact loaded; call load_graph first"
-                )
-            self.load_graph(self._graph)
-        return self._engine
-
-    @property
-    def artifact(self) -> ProblemArtifact:
-        """The currently served artifact."""
-        return self.ensure_ready().artifact
-
-    @property
-    def graph(self) -> Optional[CSRGraph]:
-        """The currently served graph (``None`` in offline-artifact mode)."""
-        return self._graph
-
-    def adopt_artifact(self, artifact: ProblemArtifact) -> None:
-        """Atomically swap the served artifact for ``artifact``.
-
-        The background-rebuild hand-off (see
-        :meth:`repro.service.core.MSTService.adopt_artifact`): the new
-        engine is installed with one reference assignment and the
-        artifact persisted to the store when there is one.
-        """
-        if artifact.problem != self.problem:
-            raise ServiceError(
-                f"artifact solves {artifact.problem!r}, service hosts "
-                f"{self.problem!r}"
-            )
-        engine = ProblemQueryEngine(artifact, backend=self.backend)
-        if self.store is not None:
-            self.store.put(artifact)
-        self._engine = engine
-
-    def invalidate(self) -> None:
-        """Drop the live engine (next query rebuilds via :meth:`ensure_ready`)."""
-        self._engine = None
+    def _recipe(self) -> dict:
+        return {"params": self.params}
 
     # ------------------------------------------------------------------
     # Queries — scalars or array-likes in, matching shape out
     # ------------------------------------------------------------------
-    @staticmethod
-    def _descalar(value, scalar: bool):
-        return value[0].item() if scalar and np.ndim(value) else value
-
-    def _timed(self, kind: str, fn):
-        t0 = time.perf_counter()
-        with _obs_span(f"query:{kind}", "service"):
-            out = fn()
-        self.metrics.record_query(kind, time.perf_counter() - t0)
-        return out
-
     def _query(self, kind: str, us, vs=None):
         scalar = np.ndim(us) == 0
         us_b = [us] if scalar else us

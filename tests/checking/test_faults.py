@@ -65,3 +65,11 @@ def test_full_fault_suite(tmp_path):
     report = run_fault_suite(tmp_path, seed=3)
     assert report.checks_run >= 25
     assert report.ok, report.failures
+
+
+@pytest.mark.parametrize("problem", ["cc", "sssp"])
+def test_problem_artifact_degradation(tmp_path, problem):
+    # The same corruption kinds, through the same store, on problem files.
+    report = check_artifact_degradation(tmp_path, seed=0, problem=problem)
+    assert report.checks_run == 5 * len(FAULT_KINDS)
+    assert report.ok, report.failures

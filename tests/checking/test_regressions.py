@@ -163,14 +163,14 @@ def test_int64_weights_beyond_2_53_stay_distinct():
 
 def test_int64_weights_round_trip_json_artifact(tmp_path):
     from repro.service.artifacts import (
-        build_artifact,
         load_json_artifact,
         save_json_artifact,
+        solve_artifact,
     )
 
     base = (1 << 53) + 7
     g = _graph(3, [(0, 1, base), (1, 2, base + 1)], wdtype=np.int64)
-    artifact = build_artifact(g, algorithm="kruskal")
+    artifact = solve_artifact(g, algorithm="kruskal")
     path = tmp_path / "a.json"
     save_json_artifact(artifact, path)
     loaded = load_json_artifact(path)
@@ -198,6 +198,34 @@ def test_garbage_corrupted_artifact_degrades(tmp_path):
     again = svc.load_graph(g)  # must not raise
     assert again.fingerprint == clean.fingerprint
     assert np.array_equal(again.msf_edge_ids, clean.msf_edge_ids)
+
+
+# ----------------------------------------------------------------------
+# Bug: mutations stored every weight as float(w), so after one mutation
+# an int64 graph beyond 2**53 tied 2**53 + 1 with 2**53 and the served
+# forest kept the heavier edge.  Kruskal on the live edges disagrees.
+# ----------------------------------------------------------------------
+def test_int64_weights_stay_exact_through_mutations():
+    from repro.errors import ServiceError
+    from repro.mst.kruskal import kruskal
+    from repro.service import MSTService
+
+    big = 1 << 53
+    svc = MSTService()
+    svc.load_graph(_graph(3, [(0, 1, big + 1), (1, 2, big), (0, 2, big)],
+                          wdtype=np.int64))
+    svc.delete_edge(0, 2)
+    svc.insert_edge(0, 2, big)
+    art, g = svc.artifact, svc.graph
+    assert g.edge_w.dtype == np.int64 and art.msf_w.dtype == np.int64
+    served = sorted(zip(art.msf_u.tolist(), art.msf_v.tolist()))
+    oracle = kruskal(g)
+    assert served == sorted((min(u, v), max(u, v)) for u, v in (
+        g.edge_endpoints(int(e)) for e in oracle.edge_ids))
+    assert served == [(0, 2), (1, 2)]
+    assert art.total_weight == 2 * big and isinstance(art.total_weight, int)
+    with pytest.raises(ServiceError, match="not exactly representable"):
+        svc.insert_edge(0, 1, 2.5)
 
 
 # ----------------------------------------------------------------------

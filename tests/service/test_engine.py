@@ -9,7 +9,7 @@ from repro.graphs.components import components_union_find
 from repro.graphs.generators import gnm_random_graph
 from repro.mst.kruskal import kruskal
 from repro.runtime.simulated import SimulatedBackend
-from repro.service.artifacts import build_artifact
+from repro.service.artifacts import solve_artifact
 from repro.service.engine import QUERY_KINDS, QueryEngine
 
 
@@ -46,7 +46,7 @@ def engine_case(request):
     n = 120 + 40 * seed
     m = [300, 150, 90][seed]  # seed 1, 2 leave isolated pieces
     g = gnm_random_graph(n, m, seed=seed)
-    return g, QueryEngine(build_artifact(g, "kruskal"))
+    return g, QueryEngine(solve_artifact(g, algorithm="kruskal"))
 
 
 def test_connected_matches_union_find(engine_case):
@@ -123,7 +123,7 @@ def test_total_weight_matches_kruskal(engine_case):
 def test_engine_charges_backend_trace():
     g = gnm_random_graph(60, 140, seed=9)
     backend = SimulatedBackend(4)
-    engine = QueryEngine(build_artifact(g, "kruskal"), backend=backend)
+    engine = QueryEngine(solve_artifact(g, algorithm="kruskal"), backend=backend)
     before = backend.trace.total_work
     engine.bottleneck_many(np.zeros(100, dtype=np.int64),
                            np.full(100, 5, dtype=np.int64))
@@ -134,7 +134,7 @@ def test_engine_charges_backend_trace():
 
 def test_execute_dispatch_and_unknown_kind():
     g = from_edges([(0, 1, 1.0), (1, 2, 2.0)])
-    engine = QueryEngine(build_artifact(g, "kruskal"))
+    engine = QueryEngine(solve_artifact(g, algorithm="kruskal"))
     assert set(QUERY_KINDS) >= {"connected", "bottleneck", "replacement"}
     assert engine.execute("connected", [0], [2]).tolist() == [True]
     assert engine.execute("weight", [0], [0], [0.0])[0] == pytest.approx(3.0)
@@ -144,7 +144,7 @@ def test_execute_dispatch_and_unknown_kind():
 
 def test_engine_rejects_out_of_range():
     g = from_edges([(0, 1, 1.0)])
-    engine = QueryEngine(build_artifact(g, "kruskal"))
+    engine = QueryEngine(solve_artifact(g, algorithm="kruskal"))
     with pytest.raises(GraphError):
         engine.connected_many([0], [9])
     with pytest.raises(GraphError):
@@ -155,7 +155,7 @@ def test_engine_rejects_out_of_range():
 
 def test_empty_graph_engine():
     g = from_edges([], n_vertices=0)
-    engine = QueryEngine(build_artifact(g, "kruskal"))
+    engine = QueryEngine(solve_artifact(g, algorithm="kruskal"))
     assert engine.total_weight() == 0.0
     assert engine.connected_many([], []).size == 0
     assert engine.bottleneck_many([], []).size == 0

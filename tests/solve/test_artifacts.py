@@ -1,4 +1,9 @@
-"""Problem artifacts: fingerprinting, round-trips, and corruption handling."""
+"""Problem artifacts: what only problems need from the one store.
+
+Parameter separation, the registry schema check, and isolated vertices;
+the store behaviours both kinds share are tested over both kinds in
+``tests/service/test_artifacts.py``.
+"""
 
 from __future__ import annotations
 
@@ -9,14 +14,14 @@ from repro.errors import ServiceError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.edgelist import EdgeList
 from repro.graphs.generators import gnm_random_graph
-from repro.solve.artifacts import (
-    ProblemArtifactStore,
-    load_problem_artifact,
-    problem_artifact_from_result,
+from repro.service.artifacts import (
+    ArtifactStore,
+    ProblemArtifact,
+    load_npz_artifact,
     problem_fingerprint,
-    save_problem_artifact,
+    save_npz_artifact,
+    solve_artifact,
 )
-from repro.solve.registry import get_problem
 
 
 @pytest.fixture()
@@ -38,12 +43,9 @@ def test_fingerprint_tracks_graph_content(g):
 
 
 def test_round_trip_preserves_everything(g, tmp_path):
-    result = get_problem("sssp", "vectorized")(g, source=2)
-    artifact = problem_artifact_from_result(
-        g, result, "sssp", "vectorized", {"source": 2}
-    )
-    path = save_problem_artifact(artifact, tmp_path / "a.npz")
-    loaded = load_problem_artifact(path)
+    artifact = solve_artifact(g, "sssp", "vectorized", params={"source": 2})
+    path = save_npz_artifact(artifact, tmp_path / "a.npz")
+    loaded = load_npz_artifact(path)
     assert loaded.fingerprint == artifact.fingerprint
     assert loaded.problem == "sssp" and loaded.mode == "vectorized"
     assert loaded.params == {"source": 2}
@@ -53,57 +55,18 @@ def test_round_trip_preserves_everything(g, tmp_path):
         assert np.array_equal(loaded.arrays[name], arr)
 
 
-def test_store_get_or_compute_hit_miss(g, tmp_path):
-    store = ProblemArtifactStore(tmp_path / "store")
-    a1, hit1 = store.get_or_compute(g, "cc", "vectorized")
-    a2, hit2 = store.get_or_compute(g, "cc", "vectorized")
-    assert (hit1, hit2) == (False, True)
-    assert a1.fingerprint == a2.fingerprint
-    assert a1.fingerprint in store
-    assert store.stats() == {"hits": 1, "misses": 1, "corrupt_replaced": 0}
-
-
 def test_store_params_are_separate_artifacts(g, tmp_path):
-    store = ProblemArtifactStore(tmp_path / "store")
-    a0, _ = store.get_or_compute(g, "sssp", "loop", source=0)
-    a1, _ = store.get_or_compute(g, "sssp", "loop", source=1)
+    store = ArtifactStore(tmp_path / "store")
+    a0, _ = store.get_or_compute(g, "sssp", "loop", params={"source": 0})
+    a1, _ = store.get_or_compute(g, "sssp", "loop", params={"source": 1})
     assert a0.fingerprint != a1.fingerprint
     assert not np.array_equal(a0.arrays["dist"], a1.arrays["dist"])
 
 
-def test_corrupted_file_is_recomputed_not_raised(g, tmp_path):
-    store = ProblemArtifactStore(tmp_path / "store")
-    artifact, _ = store.get_or_compute(g, "cc")
-    store.path_for(artifact.fingerprint).write_bytes(b"\x00garbage")
-    again, hit = store.get_or_compute(g, "cc")
-    assert not hit
-    assert store.corrupt_replaced == 1
-    assert np.array_equal(again.arrays["labels"], artifact.arrays["labels"])
-    # ... and the rewritten file loads cleanly afterwards.
-    _, hit = store.get_or_compute(g, "cc")
-    assert hit
-
-
-def test_load_rejects_truncated_file(tmp_path):
-    path = tmp_path / "bad.npz"
-    path.write_bytes(b"PK\x03\x04 not a real zip")
-    with pytest.raises(ServiceError, match="corrupted artifact"):
-        load_problem_artifact(path)
-
-
-def test_load_rejects_fingerprint_mismatch(g, tmp_path):
-    result = get_problem("cc", "loop")(g)
-    artifact = problem_artifact_from_result(g, result, "cc", "loop")
-    path = save_problem_artifact(artifact, tmp_path / "a.npz")
-    with pytest.raises(ServiceError, match="fingerprint mismatch"):
-        load_problem_artifact(path, expect_fingerprint="0" * 64)
-
-
 def test_load_rejects_wrong_schema(g, tmp_path):
     # An artifact claiming to be SSSP but carrying CC's arrays must not load.
-    result = get_problem("cc", "loop")(g)
-    artifact = problem_artifact_from_result(g, result, "cc", "loop")
-    bad = type(artifact)(
+    artifact = solve_artifact(g, "cc", "loop")
+    bad = ProblemArtifact(
         fingerprint=artifact.fingerprint,
         problem="sssp",
         mode=None,
@@ -112,17 +75,9 @@ def test_load_rejects_wrong_schema(g, tmp_path):
         scalars={},
         params={},
     )
-    path = save_problem_artifact(bad, tmp_path / "bad.npz")
+    path = save_npz_artifact(bad, tmp_path / "bad.npz")
     with pytest.raises(ServiceError, match="array schema"):
-        load_problem_artifact(path)
-
-
-def test_invalidate_drops_the_file(g, tmp_path):
-    store = ProblemArtifactStore(tmp_path / "store")
-    artifact, _ = store.get_or_compute(g, "cc")
-    assert store.invalidate(artifact.fingerprint)
-    assert artifact.fingerprint not in store
-    assert not store.invalidate(artifact.fingerprint)
+        load_npz_artifact(path)
 
 
 def test_isolated_vertices_round_trip(tmp_path):
@@ -130,6 +85,6 @@ def test_isolated_vertices_round_trip(tmp_path):
         3, np.empty(0, np.int64), np.empty(0, np.int64),
         np.empty(0, np.float64), dedup=False,
     ))
-    store = ProblemArtifactStore(tmp_path / "store")
+    store = ArtifactStore(tmp_path / "store")
     artifact, _ = store.get_or_compute(g, "cc")
     assert np.array_equal(artifact.arrays["labels"], np.arange(3))

@@ -12,7 +12,7 @@ from repro.graphs.csr import CSRGraph
 from repro.graphs.edgelist import EdgeList
 from repro.graphs.generators import gnm_random_graph
 from repro.service.server import AsyncMSTService
-from repro.solve.artifacts import save_problem_artifact
+from repro.service.artifacts import save_npz_artifact
 from repro.solve.service import PROBLEM_QUERY_KINDS, ProblemService
 from repro.solve.sssp import sssp_oracle
 
@@ -91,7 +91,7 @@ def test_store_reuse_and_metrics(g, tmp_path):
 def test_load_artifact_offline(g, tmp_path):
     svc = ProblemService(problem="sssp", mode="loop", source=0)
     artifact = svc.load_graph(g)
-    path = save_problem_artifact(artifact, tmp_path / "a.npz")
+    path = save_npz_artifact(artifact, tmp_path / "a.npz")
 
     offline = ProblemService(problem="sssp")
     loaded = offline.load_artifact(path)
