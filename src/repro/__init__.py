@@ -30,7 +30,6 @@ from repro.graphs import CSRGraph, EdgeList, GraphBuilder, from_edges
 from repro.mst import (
     MSTResult,
     boruvka,
-    filter_kruskal,
     kruskal,
     llp_boruvka,
     llp_prim,
@@ -63,7 +62,6 @@ __all__ = [
     "parallel_boruvka",
     "llp_boruvka",
     "kruskal",
-    "filter_kruskal",
     "verify_minimum",
     "verify_spanning_forest",
     "CostModel",

@@ -289,7 +289,8 @@ def check_serve_malformed(work_dir: str | Path, *, seed: int = 0) -> FaultReport
     Interleaves every malformed line with valid requests and checks the
     CLI's contract: exit code 0, one structured response record per
     non-empty input line (``error`` for the bad, ``result`` for the
-    good), in input order.
+    good), in input order, each one strict JSON (RFC 8259 has no
+    ``Infinity`` or ``NaN``).
     """
     from repro.cli import main
     from repro.graphs.io.binary import save_npz
@@ -323,7 +324,20 @@ def check_serve_malformed(work_dir: str | Path, *, seed: int = 0) -> FaultReport
             "--queries", str(requests_path),
         ])
     report.record("serve exits 0", code == 0, f"exit code {code}")
-    records = [json.loads(line) for line in out.getvalue().splitlines() if line]
+
+    def reject(constant: str):
+        raise ValueError(f"{constant} is not JSON")
+
+    records, not_json = [], []
+    for line in filter(None, out.getvalue().splitlines()):
+        try:
+            records.append(json.loads(line, parse_constant=reject))
+        except ValueError:
+            not_json.append(line)
+    report.record(
+        "every response line is strict JSON", not not_json,
+        f"{len(not_json)} non-JSON line(s), first: {not_json[:1]}",
+    )
     report.record(
         "one record per request",
         len(records) == len(lines),

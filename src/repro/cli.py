@@ -1006,35 +1006,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ReproError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    n_bad = 0
-    for lineno, request, error in parsed:
-        if request is None:
-            n_bad += 1
-            print(_json.dumps({"line": lineno, "error": error}))
-            continue
-        op, u, v, w = request
-        record = {"op": op}
-        if u is not None:
-            record["u"] = u
-        if v is not None:
-            record["v"] = v
-        if w is not None:
-            record["w"] = w
-        if lineno not in answers:
-            record["error"] = "interrupted before issue (SIGINT)"
-        else:
-            answer = answers[lineno]
-            if isinstance(answer, dict) and "error" in answer:
-                record["error"] = answer["error"]
-            else:
-                record["result"] = answer
-        print(_json.dumps(record))
-    if n_bad:
-        print(f"{n_bad} malformed request line(s) answered with structured errors",
-              file=sys.stderr)
-    if interrupted:
-        print("interrupted: intake stopped, in-flight requests drained",
-              file=sys.stderr)
+    _write_responses(parsed, answers, ("op", "u", "v", "w"), interrupted)
     print(svc.metrics.summary_line(), file=sys.stderr)
     if args.metrics:
         print(svc.metrics.render(), file=sys.stderr)
@@ -1065,35 +1037,41 @@ def _install_sigint(loop, handler) -> "callable":
     return uninstall
 
 
-def _parse_multi_request(line: str, _json) -> tuple[tuple | None, str | None]:
-    """Parse one multi-tenant JSON-lines request; ``(request, error)`` pair.
+def _write_responses(
+    parsed: list, answers: dict, fields: tuple[str, ...], interrupted: bool
+) -> None:
+    """Print one strict-JSON response record per request line, in input order.
 
-    Like :func:`_parse_serve_request` plus required string ``tenant`` and
-    ``graph`` fields; the request tuple is
-    ``(tenant, graph, op, u, v, w)``.
+    The writer both serve loops share.  ``fields`` names the positions of a
+    parsed request tuple (``None`` operands are left out of the record); a
+    malformed line is answered with its line number and parse error, an
+    un-issued one as interrupted, an error answer (a dict carrying
+    ``error``, e.g. a quota rejection) merged into the record, anything
+    else as ``result``.
     """
-    if len(line.encode("utf-8", errors="replace")) > _MAX_REQUEST_BYTES:
-        return None, f"request exceeds {_MAX_REQUEST_BYTES} bytes"
-    try:
-        req = _json.loads(line)
-    except ValueError as exc:
-        return None, f"invalid JSON: {exc}"
-    if not isinstance(req, dict):
-        return None, "request must be a JSON object"
-    tenant, graph = req.get("tenant"), req.get("graph")
-    for name, val in (("tenant", tenant), ("graph", graph)):
-        if not isinstance(val, str) or not val:
-            return None, f"missing or non-string {name!r}"
-    op = req.get("op")
-    if not isinstance(op, str):
-        return None, "missing or non-string 'op'"
-    u, v, w = req.get("u"), req.get("v"), req.get("w")
-    for name, val in (("u", u), ("v", v)):
-        if val is not None and (isinstance(val, bool) or not isinstance(val, int)):
-            return None, f"'{name}' must be an integer"
-    if w is not None and (isinstance(w, bool) or not isinstance(w, (int, float))):
-        return None, "'w' must be a number"
-    return (tenant, graph, op, u, v, w), None
+    from repro.service.server import response_line
+
+    n_bad = 0
+    for lineno, request, error in parsed:
+        if request is None:
+            n_bad += 1
+            print(response_line({"line": lineno, "error": error}))
+            continue
+        record = {k: val for k, val in zip(fields, request) if val is not None}
+        answer = answers.get(lineno)
+        if lineno not in answers:
+            record["error"] = "interrupted before issue (SIGINT)"
+        elif isinstance(answer, dict) and "error" in answer:
+            record.update(answer)
+        else:
+            record["result"] = answer
+        print(response_line(record))
+    if n_bad:
+        print(f"{n_bad} malformed request line(s) answered with structured errors",
+              file=sys.stderr)
+    if interrupted:
+        print("interrupted: intake stopped, in-flight requests drained",
+              file=sys.stderr)
 
 
 def _cmd_serve_multi(args: argparse.Namespace) -> int:
@@ -1139,7 +1117,9 @@ def _cmd_serve_multi(args: argparse.Namespace) -> int:
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if line:
-            parsed.append((lineno, *_parse_multi_request(line, _json)))
+            parsed.append(
+                (lineno, *_parse_serve_request(line, _json, ("tenant", "graph")))
+            )
     requests = [(lineno, *request) for lineno, request, _ in parsed
                 if request is not None]
 
@@ -1187,32 +1167,9 @@ def _cmd_serve_multi(args: argparse.Namespace) -> int:
         platform.close()
         print(str(exc), file=sys.stderr)
         return 2
-    n_bad = 0
-    for lineno, request, error in parsed:
-        if request is None:
-            n_bad += 1
-            print(_json.dumps({"line": lineno, "error": error}))
-            continue
-        tenant, graph, op, u, v, w = request
-        record = {"tenant": tenant, "graph": graph, "op": op}
-        for key, val in (("u", u), ("v", v), ("w", w)):
-            if val is not None:
-                record[key] = val
-        if lineno not in answers:
-            record["error"] = "interrupted before issue (SIGINT)"
-        else:
-            answer = answers[lineno]
-            if isinstance(answer, dict) and "error" in answer:
-                record.update(answer)
-            else:
-                record["result"] = answer
-        print(_json.dumps(record))
-    if n_bad:
-        print(f"{n_bad} malformed request line(s) answered with structured errors",
-              file=sys.stderr)
-    if interrupted:
-        print("interrupted: intake stopped, in-flight requests drained",
-              file=sys.stderr)
+    _write_responses(
+        parsed, answers, ("tenant", "graph", "op", "u", "v", "w"), interrupted
+    )
     for tname in platform.tenants():
         state = platform.tenant(tname)
         print(f"[{tname}] {state.metrics.summary_line()} "
@@ -1686,12 +1643,16 @@ def _check_self_test(args: argparse.Namespace, progress) -> int:
 _MAX_REQUEST_BYTES = 64 * 1024
 
 
-def _parse_serve_request(line: str, _json) -> tuple[tuple | None, str | None]:
+def _parse_serve_request(
+    line: str, _json, route: tuple[str, ...] = ()
+) -> tuple[tuple | None, str | None]:
     """Parse one JSON-lines request; returns ``(request, error)``.
 
     Exactly one of the pair is non-``None``.  Oversized lines, non-object
     payloads, missing/ill-typed fields all map to an error string instead
-    of an exception so the serve loop can answer them in-stream.
+    of an exception so the serve loop can answer them in-stream.  The
+    request tuple is ``(*route, op, u, v, w)``: ``route`` names required
+    non-empty string fields — ``serve --multi``'s ``tenant`` and ``graph``.
     """
     if len(line.encode("utf-8", errors="replace")) > _MAX_REQUEST_BYTES:
         return None, f"request exceeds {_MAX_REQUEST_BYTES} bytes"
@@ -1701,6 +1662,10 @@ def _parse_serve_request(line: str, _json) -> tuple[tuple | None, str | None]:
         return None, f"invalid JSON: {exc}"
     if not isinstance(req, dict):
         return None, "request must be a JSON object"
+    keys = tuple(req.get(name) for name in route)
+    for name, val in zip(route, keys):
+        if not isinstance(val, str) or not val:
+            return None, f"missing or non-string {name!r}"
     op = req.get("op")
     if not isinstance(op, str):
         return None, "missing or non-string 'op'"
@@ -1710,7 +1675,7 @@ def _parse_serve_request(line: str, _json) -> tuple[tuple | None, str | None]:
             return None, f"'{name}' must be an integer"
     if w is not None and (isinstance(w, bool) or not isinstance(w, (int, float))):
         return None, "'w' must be a number"
-    return (op, u, v, w), None
+    return (*keys, op, u, v, w), None
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -1752,14 +1717,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_info() -> int:
     from repro.bench.datasets import DATASETS
-    from repro.kernels import jit_status
     from repro.mst.registry import list_algorithm_info
 
     print(f"repro {__version__}")
-    jit = jit_status()
-    print(f"jit:       numba {'available' if jit['numba_available'] else 'absent'}, "
-          f"{'enabled' if jit['enabled'] else 'disabled'}"
-          f" (REPRO_JIT={jit['env'] or 'auto'})")
     print("\nalgorithms:")
     for info in list_algorithm_info():
         modes = f" [modes: {', '.join(info.modes)}]" if info.has_vectorized else ""

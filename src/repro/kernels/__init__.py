@@ -25,15 +25,10 @@ Primitives
     Vectorized dense-array Prim relaxation of one vertex's neighbor slice.
 :func:`~repro.kernels.frontier.frontier_edges`
     One-shot gather of the CSR half-edge slices of a whole vertex batch.
-:func:`~repro.kernels.frontier.frontier_relax`
-    Frontier-sparse scatter-min relaxation: one NumPy round relaxes the
-    entire batch of newly fixed vertices' adjacency (the Baer et al.
-    sparse-kernel shape; replaces per-vertex ``relax_neighbors`` rounds
-    in the Prim-family fast paths).
 :func:`~repro.kernels.frontier.frontier_relax_additive`
-    The additive (Bellman-Ford) sibling of ``frontier_relax``: one
-    scatter-min round of ``dist[src] + w`` path extensions, the engine of
-    the vectorized SSSP mode in :mod:`repro.solve.sssp`.
+    One Bellman-Ford scatter-min round of ``dist[src] + w`` path
+    extensions over a whole frontier, the engine of the vectorized SSSP
+    mode in :mod:`repro.solve.sssp`.
 
 Cost accounting
 ---------------
@@ -45,12 +40,7 @@ mode executed.  See ``docs/kernels.md`` for the exact charging rules.
 """
 
 from repro.kernels.contract import contract_edges
-from repro.kernels.frontier import (
-    frontier_edges,
-    frontier_relax,
-    frontier_relax_additive,
-)
-from repro.kernels.jit import HAS_NUMBA, jit_enabled, jit_status
+from repro.kernels.frontier import frontier_edges, frontier_relax_additive
 from repro.kernels.jump import pointer_jump
 from repro.kernels.relax import relax_neighbors
 from repro.kernels.segments import (
@@ -67,9 +57,5 @@ __all__ = [
     "contract_edges",
     "relax_neighbors",
     "frontier_edges",
-    "frontier_relax",
     "frontier_relax_additive",
-    "HAS_NUMBA",
-    "jit_enabled",
-    "jit_status",
 ]

@@ -1,36 +1,25 @@
-"""Frontier-sparse CSR slicing and batched scatter-min relaxation.
+"""Frontier-sparse CSR slicing and batched additive relaxation.
 
-The first vectorized Prim kernels relaxed one popped vertex's adjacency
-per NumPy call (:func:`repro.kernels.relax.relax_neighbors`).  On the
-sparse graphs of the standard bench that shape is a *slowdown*: the
-average CSR slice holds ~6 half-edges, so the fixed per-call NumPy
-dispatch overhead dwarfs the work it vectorizes and loop mode wins
-(BENCH_kernels.json recorded 0.57x for prim, 0.37x for llp-prim).
-
-These kernels instead operate on a **frontier** — the batch of vertices
-fixed since the last relaxation round — and touch only the frontier's
-adjacency (the sparse-matrix-kernel MSF shape of Baer et al., PAPERS.md):
+These kernels operate on a **frontier** — a batch of vertices whose
+adjacency must be scanned this round — and touch only the frontier's
+half-edges (the sparse-matrix-kernel shape of Baer et al., PAPERS.md):
 
 * :func:`frontier_edges` gathers the CSR half-edge positions of every
   frontier vertex in one shot (the classic ``repeat``/``cumsum`` slice
   concatenation), so a round pays the NumPy dispatch cost once for the
   whole batch instead of once per vertex;
-* :func:`frontier_relax` performs one ``np.minimum.at`` scatter-min of
-  the gathered edge ranks into the tentative-cost array and writes the
-  winning parents back — the whole relaxation round is O(sum of frontier
-  degrees), never O(n).
+* :func:`frontier_relax_additive` runs one Bellman-Ford round over that
+  gather: a ``np.minimum.at`` scatter-min of ``dist[src] + w`` into the
+  distance array — O(sum of frontier degrees) plus one O(n) dedup mask.
 
-Because edge *ranks* are globally unique (the distinct-weights rule
-realised at graph construction), the scatter-min has exactly one winner
-per improved target; no dedup or tie handling is needed and the result
-is deterministic regardless of batch composition.
+They drive the vectorized SSSP mode of :mod:`repro.solve.sssp`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["frontier_edges", "frontier_relax", "frontier_relax_additive"]
+__all__ = ["frontier_edges", "frontier_relax_additive"]
 
 
 def frontier_edges(
@@ -58,53 +47,6 @@ def frontier_edges(
     return pos, src
 
 
-def frontier_relax(
-    frontier: np.ndarray,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    keys: np.ndarray,
-    edge_ids: np.ndarray,
-    d: np.ndarray,
-    fixed: np.ndarray,
-    parent: np.ndarray,
-    parent_edge: np.ndarray,
-    *,
-    backend=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Relax every unfixed neighbor of the whole ``frontier`` batch.
-
-    Scatter-min of the frontier's edge ``keys`` into ``d``; for each
-    target that improved, ``parent``/``parent_edge`` record the unique
-    minimum-key frontier edge that won.  Returns the improved
-    ``(vertices, keys)`` (each vertex exactly once) for the caller to
-    feed its priority structure.  Charged as the sum of frontier degrees
-    — the same per-edge charge as the loop-mode scans.
-    """
-    pos, src = frontier_edges(indptr, frontier)
-    if backend is not None and pos.size:
-        backend.charge_serial(int(pos.size))
-    if pos.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    tgt = indices[pos]
-    ks = keys[pos]
-    live = ~fixed[tgt] & (ks < d[tgt])
-    if not live.any():
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    pos, src, tgt, ks = pos[live], src[live], tgt[live], ks[live]
-    np.minimum.at(d, tgt, ks)
-    # Unique ranks => exactly one entry per target achieves the new
-    # minimum, and targets whose d was already lower were filtered above.
-    win = ks == d[tgt]
-    tgt_w = tgt[win]
-    parent[tgt_w] = src[win]
-    parent_edge[tgt_w] = edge_ids[pos[win]]
-    # A target improved by several frontier edges appears several times in
-    # ``tgt`` but only once in ``tgt_w``; report each improved vertex once.
-    return tgt_w, ks[win]
-
-
 def frontier_relax_additive(
     frontier: np.ndarray,
     indptr: np.ndarray,
@@ -116,11 +58,10 @@ def frontier_relax_additive(
 ) -> tuple[np.ndarray, int]:
     """One Bellman-Ford round: relax every out-edge of the ``frontier``.
 
-    The additive sibling of :func:`frontier_relax`: candidate keys are
-    ``dist[src] + w`` (path extension) instead of a static per-edge rank,
-    scattered into ``dist`` with one ``np.minimum.at``.  Returns the
-    sorted unique vertices whose distance improved this round (the next
-    frontier) and the number of live relaxations performed.  ``dist``
+    Candidate keys are ``dist[src] + w`` (path extension), scattered
+    into ``dist`` with one ``np.minimum.at``.  Returns the sorted unique
+    vertices whose distance improved this round (the next frontier) and
+    the number of live relaxations performed.  ``dist``
     must be float64; float addition of nonnegative weights is monotone,
     so iterating to fixpoint yields the exact minimum over per-path
     left-to-right float sums — the same values the sequential queue

@@ -45,17 +45,10 @@ def pointer_jump(
         return G, 0, []
     if max_sweeps is None:
         max_sweeps = int(np.log2(n) + 2) if n > 1 else 1
-    from repro.kernels.jit import active_jit_pointer_sweep
-
-    fused = active_jit_pointer_sweep()
     changes: list[int] = []
     for _ in range(max_sweeps):
-        if fused is not None:  # pragma: no cover - needs numba
-            GG, moved = fused(G)
-            moved = int(moved)
-        else:
-            GG = G[G]
-            moved = int(np.count_nonzero(GG != G))
+        GG = G[G]
+        moved = int(np.count_nonzero(GG != G))
         if backend is not None:
             # One barrier sweep: a gather + compare over every pointer.
             backend.charge_parallel(n, n_chunks)

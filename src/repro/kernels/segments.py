@@ -133,13 +133,6 @@ def minimum_edge_per_vertex(
     m = edge_u.size
     if m == 0 or n_vertices == 0:
         return to, eid, best
-    from repro.kernels.jit import active_jit_minimum_edge
-
-    fused = active_jit_minimum_edge()
-    if fused is not None:  # pragma: no cover - needs numba
-        to, eid, best = fused(n_vertices, edge_u, edge_v, keys, edge_ids)
-        _charge(backend, 4 * m, n_chunks)  # same modelled passes as below
-        return to, eid, best
     np.minimum.at(best, edge_u, keys)
     np.minimum.at(best, edge_v, keys)
     verts = np.flatnonzero(best < INT64_MAX)

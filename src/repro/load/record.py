@@ -30,6 +30,7 @@ from typing import Dict, Iterable, List, Sequence
 
 from repro.errors import ServiceError
 from repro.load.scenarios import RequestEvent
+from repro.service.server import encode_answer
 
 __all__ = [
     "REQUEST_FIELDS",
@@ -73,10 +74,7 @@ class Recorder:
         record["outcome"] = outcome
         record["latency_us"] = round(latency_s * 1e6, 1)
         if result is not None:
-            # JSON has no Infinity; bottleneck across components is inf.
-            if isinstance(result, float) and result == float("inf"):
-                result = "inf"
-            record["result"] = result
+            record["result"] = encode_answer(result)
         if error is not None:
             record["error"] = error
         self._events.append(record)

@@ -26,14 +26,12 @@ from repro.mst.llp_prim import llp_prim
 from repro.mst.llp_prim_parallel import llp_prim_parallel
 from repro.mst.boruvka import boruvka
 from repro.mst.parallel_boruvka import parallel_boruvka
-from repro.mst.parallel_filter_kruskal import parallel_filter_kruskal
 from repro.mst.llp_boruvka import llp_boruvka
 from repro.mst.kruskal import kruskal
 from repro.mst.kkt import kkt
 from repro.mst.ghs import ghs
 from repro.mst.hybrid import auto_mst, select_algorithm
 from repro.mst.dynamic import DynamicMSF
-from repro.mst.filter_kruskal import filter_kruskal
 from repro.mst.verify import (
     verify_spanning_forest,
     verify_minimum,
@@ -51,7 +49,6 @@ __all__ = [
     "llp_prim_parallel",
     "boruvka",
     "parallel_boruvka",
-    "parallel_filter_kruskal",
     "llp_boruvka",
     "kruskal",
     "kkt",
@@ -59,7 +56,6 @@ __all__ = [
     "auto_mst",
     "select_algorithm",
     "DynamicMSF",
-    "filter_kruskal",
     "verify_spanning_forest",
     "verify_minimum",
     "verify_minimum_cycle_property",

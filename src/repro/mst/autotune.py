@@ -6,11 +6,8 @@ shape.  The Boruvka family vectorizes its *rounds* — a handful of
 whole-edge-list scatters regardless of density — so its vectorized mode
 wins from a few hundred edges up (measured 1.3–80x here).  Dense-array
 Prim instead trades O(deg) Python per pop for an O(n) NumPy ``argmin``
-per pop, which only pays above an average-degree crossover.  And
-LLP-Prim's frontier cascade never recoups its dispatch cost on any
-measured shape of this machine's single core — the registry marks that
-mode regression-prone (:attr:`~repro.mst.registry.AlgorithmInfo
-.regression_prone`) and :func:`choose_mode` refuses it outright.
+per pop, which only pays above an average-degree crossover.  Algorithms
+without a vectorized mode always resolve to ``"loop"``.
 
 The cost model is deliberately tiny: per algorithm, a
 :class:`Crossover` of ``(min_edges, min_avg_degree)`` thresholds that a
@@ -73,8 +70,6 @@ DEFAULT_CROSSOVERS: Dict[str, Crossover] = {
     "boruvka": Crossover(min_edges=256, min_avg_degree=0.0),
     "llp-boruvka": Crossover(min_edges=256, min_avg_degree=0.0),
     "parallel-boruvka": Crossover(min_edges=256, min_avg_degree=0.0),
-    # llp-prim is absent on purpose: its vectorized mode is marked
-    # regression-prone in the registry and never auto-selected.
 }
 
 _cached: Optional[Dict[str, Crossover]] = None
@@ -99,14 +94,10 @@ def invalidate_cache() -> None:
 def load_crossovers(path: Path | None = None) -> Dict[str, Crossover]:
     """Defaults overlaid with this machine's calibration file, memoized.
 
-    Unknown algorithms and malformed entries in the file are ignored —
-    a stale or hand-edited calibration can narrow behaviour but never
-    break a solve.  A calibration stamped with a different jit state
-    (``_jit``) is ignored wholesale: crossovers measured against numba
-    kernels say nothing about the NumPy ones and vice versa.
+    Unknown algorithms, ``_``-prefixed keys and malformed entries in the
+    file are ignored — a stale or hand-edited calibration can narrow
+    behaviour but never break a solve.
     """
-    from repro.kernels.jit import jit_enabled
-
     global _cached, _cached_path
     p = path or autotune_path()
     key = str(p)
@@ -116,8 +107,6 @@ def load_crossovers(path: Path | None = None) -> Dict[str, Crossover]:
     try:
         payload = json.loads(p.read_text())
     except (OSError, ValueError):
-        payload = {}
-    if isinstance(payload, dict) and bool(payload.get("_jit", False)) != jit_enabled():
         payload = {}
     for name, rec in payload.items() if isinstance(payload, dict) else ():
         if name.startswith("_") or name not in table:
@@ -136,14 +125,12 @@ def load_crossovers(path: Path | None = None) -> Dict[str, Crossover]:
 def choose_mode(name: str, n_vertices: int, n_edges: int) -> str:
     """The kernel mode ``mode="auto"`` resolves to for this graph shape.
 
-    Returns ``"loop"`` unless the algorithm has a vectorized mode that
-    is not registry-marked regression-prone **and** the graph clears the
-    algorithm's :class:`Crossover` thresholds.
+    Returns ``"loop"`` unless the algorithm has a vectorized mode **and**
+    the graph clears the algorithm's :class:`Crossover` thresholds.
     """
     from repro.mst.registry import algorithm_info
 
-    info = algorithm_info(name)
-    if "vectorized" not in info.modes or "vectorized" in info.regression_prone:
+    if not algorithm_info(name).has_vectorized:
         return "loop"
     cross = load_crossovers().get(name)
     if cross is None:
@@ -221,8 +208,6 @@ def calibrate(
                     break
             table[name] = Crossover(min_edges=min_edges, min_avg_degree=0.0)
     if persist:
-        from repro.kernels.jit import jit_enabled
-
         p = path or autotune_path()
         p.parent.mkdir(parents=True, exist_ok=True)
         payload = {
@@ -232,9 +217,6 @@ def calibrate(
             }
             for name, cross in table.items()
         }
-        # Stamp the kernel backend the measurements were taken under;
-        # load_crossovers() discards the file when the stamp mismatches.
-        payload["_jit"] = jit_enabled()
         p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     invalidate_cache()
     return table

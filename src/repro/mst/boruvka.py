@@ -10,10 +10,10 @@ what the parallel variants exploit.
 
 The default implementation performs the sweep and BFS as explicit Python
 loops, the same iteration idiom as the Prim-family baselines, so Fig 2's
-relative constants compare algorithmic work.  ``mode="vectorized"`` (or
-the legacy ``vectorized=True`` flag) switches to a NumPy bulk sweep built
-on the :mod:`repro.kernels` scatter-min primitive (identical output, much
-faster in this runtime) for users who just want the forest.
+relative constants compare algorithmic work.  ``mode="vectorized"``
+switches to a NumPy bulk sweep built on the :mod:`repro.kernels`
+scatter-min primitive (identical output, much faster in this runtime) for
+users who just want the forest.
 
 The loop exits when an iteration adds no edge, which happens exactly when
 every remaining component is isolated — so disconnected graphs yield the
@@ -33,21 +33,17 @@ __all__ = ["boruvka"]
 _INF = 1 << 60
 
 
-def boruvka(
-    g: CSRGraph, *, vectorized: bool = False, mode: str | None = None
-) -> MSTResult:
+def boruvka(g: CSRGraph, *, mode: str = "loop") -> MSTResult:
     """Boruvka's algorithm; returns the MSF of ``g``.
 
     ``mode`` ("loop" / "vectorized") is the uniform kernel-mode switch
-    shared with the other algorithms; the older ``vectorized`` boolean is
-    kept as an alias and must agree with ``mode`` when both are given.
+    shared with the other algorithms.
     """
-    if mode is not None:
-        if mode not in ("loop", "vectorized"):
-            raise AlgorithmError(
-                f"unknown boruvka mode {mode!r}; use 'loop' or 'vectorized'"
-            )
-        vectorized = mode == "vectorized"
+    if mode not in ("loop", "vectorized"):
+        raise AlgorithmError(
+            f"unknown boruvka mode {mode!r}; use 'loop' or 'vectorized'"
+        )
+    vectorized = mode == "vectorized"
     n, m = g.n_vertices, g.n_edges
     chosen: list[int] = []
     rounds = 0

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import AlgorithmError, DisconnectedGraphError
+from repro.errors import DisconnectedGraphError
 from repro.graphs.csr import CSRGraph
 from repro.mst.base import MSTResult, result_from_edge_ids
 from repro.structures.indexed_heap import IndexedBinaryHeap
@@ -45,26 +45,13 @@ def llp_prim(
     *,
     msf: bool = True,
     early_fixing: bool = True,
-    mode: str = "loop",
 ) -> MSTResult:
     """LLP-Prim from ``root``; see the module docstring.
 
     ``early_fixing=False`` disables the MWE rule (every fix goes through
     the heap), which reduces the algorithm to Prim with deferred
     insertions — the ablation of DESIGN.md experiment A1.
-
-    ``mode="vectorized"`` drains the whole bag per NumPy round — the MWE
-    test, the early fixes, and the deferred relaxations become masks over
-    one frontier-wide edge gather (see :mod:`repro.kernels.frontier`).
-    The cascade may fix vertices in a different order than the LIFO bag,
-    but the chosen forest is the same unique MSF.
     """
-    if mode == "vectorized":
-        return _llp_prim_vectorized(g, root, msf=msf, early_fixing=early_fixing)
-    if mode != "loop":
-        raise AlgorithmError(
-            f"unknown llp_prim mode {mode!r}; use 'loop' or 'vectorized'"
-        )
     n = g.n_vertices
     heap = IndexedBinaryHeap(n)
     adj_n, adj_r, adj_e = g.py_adjacency
@@ -170,169 +157,5 @@ def llp_prim(
         g,
         np.asarray(chosen, dtype=np.int64),
         parent=np.asarray(parent, dtype=np.int64),
-        stats=stats,
-    )
-
-
-def _llp_prim_vectorized(
-    g: CSRGraph,
-    root: int,
-    *,
-    msf: bool,
-    early_fixing: bool,
-) -> MSTResult:
-    """Frontier-sparse LLP-Prim: the whole bag is scanned per NumPy round.
-
-    Loop mode pops bag vertices one at a time; the first vectorized port
-    kept that shape and paid a fixed NumPy dispatch cost per ~6-edge
-    adjacency slice, losing to the interpreter.  This version drains the
-    bag as a **frontier cascade**: one
-    :func:`~repro.kernels.frontier.frontier_edges` gather covers every
-    bag vertex's slice, the MWE test becomes a single mask over the
-    gathered edges, and all early fixes of a round form the next frontier.
-
-    The cascade may fix vertices in a different order than loop mode's
-    LIFO bag, but the output cannot differ: every qualifying edge is the
-    minimum-weight edge of one of its endpoints — in the MSF by the cut
-    property under the distinct-rank order — and every heap fix chooses
-    the lightest edge crossing the fixed-set cut (all fixed vertices have
-    been scanned by the time the heap is consulted).  The chosen set is
-    therefore a subset of the unique MSF that connects every fixed vertex
-    to its tree, hence exactly the MSF.
-    """
-    from repro.kernels import frontier_edges, frontier_relax
-
-    n = g.n_vertices
-    indptr, indices = g.indptr, g.indices
-    half_ranks, edge_ids = g.half_ranks, g.edge_ids
-    min_rank = g.min_rank_per_vertex
-    d = np.full(n, _INF, dtype=np.int64)
-    fixed = np.zeros(n, dtype=bool)
-    parent = np.full(n, -1, dtype=np.int64)
-    parent_edge = np.full(n, -1, dtype=np.int64)
-    chosen: list[int] = []
-
-    edges_scanned = 0
-    mwe_fixes = 0
-    heap_fixes = 0
-    bag_pops = 0
-    n_fixed = 0
-    _empty = np.empty(0, dtype=np.int64)
-
-    roots = [root] if n else []
-    next_probe = 0
-    while roots:
-        r = roots.pop()
-        if fixed[r]:
-            continue
-        fixed[r] = True
-        n_fixed += 1
-        front = np.asarray([r], dtype=np.int64)
-        while True:
-            # Drain the bag one whole frontier per round.  The MWE test
-            # needs only ranks and the fixed mask — never ``d`` — so the
-            # cascade defers all non-MWE relaxation: scanned vertices
-            # accumulate and are relaxed in one bulk scatter-min below.
-            scanned: list[np.ndarray] = []
-            while front.size:
-                bag_pops += front.size
-                scanned.append(front)
-                if front.size == 1:
-                    # Singleton rounds (chain-shaped cascades) skip the
-                    # repeat/cumsum gather and slice the CSR row directly.
-                    j = int(front[0])
-                    s, e = int(indptr[j]), int(indptr[j + 1])
-                    edges_scanned += e - s
-                    tgt = indices[s:e]
-                    live = ~fixed[tgt]
-                    tgt = tgt[live]
-                    if tgt.size == 0 or not early_fixing:
-                        front = _empty
-                        continue
-                    ks = half_ranks[s:e][live]
-                    eids = edge_ids[s:e][live]
-                    src_rank = min_rank[j]
-                    src_w = None
-                else:
-                    pos, src = frontier_edges(indptr, front)
-                    edges_scanned += pos.size
-                    tgt = indices[pos]
-                    live = ~fixed[tgt]
-                    pos, src, tgt = pos[live], src[live], tgt[live]
-                    if tgt.size == 0 or not early_fixing:
-                        front = _empty
-                        continue
-                    ks = half_ranks[pos]
-                    eids = edge_ids[pos]
-                    src_rank = min_rank[src]
-                    src_w = src
-                # processEdge1: the edge is an MWE of either endpoint.
-                # Heavier parallel duplicates can never be an MWE, so
-                # each undirected edge qualifies at most once.
-                qual = (ks == src_rank) | (ks == min_rank[tgt])
-                q_t = tgt[qual]
-                if q_t.size == 0:
-                    front = _empty
-                    continue
-                q_k, q_e = ks[qual], eids[qual]
-                chosen.extend(q_e.tolist())
-                mwe_fixes += q_e.size
-                # Several MWE edges may share a target (all belong to the
-                # MSF); the scatter-min elects the lightest as its parent
-                # edge, and the winner mask names each target exactly once.
-                d[q_t] = _INF
-                np.minimum.at(d, q_t, q_k)
-                win = q_k == d[q_t]
-                newly = q_t[win]
-                parent[newly] = front[0] if src_w is None else src_w[qual][win]
-                parent_edge[newly] = q_e[win]
-                fixed[newly] = True
-                n_fixed += newly.size
-                d[newly] = _INF  # fixed vertices leave the queue
-                front = newly
-            # One bulk relaxation of everything the cascade scanned; the
-            # scatter-min recomputes the slices but pays the NumPy
-            # dispatch cost once per cascade instead of once per round.
-            sc = scanned[0] if len(scanned) == 1 else np.concatenate(scanned)
-            frontier_relax(
-                sc, indptr, indices, half_ranks, edge_ids,
-                d, fixed, parent, parent_edge,
-            )
-            # The d array is the priority queue: the nearest non-fixed
-            # vertex is one masked argmin away (fixed vertices sit at
-            # +inf), replacing the heap and the staged-flush bookkeeping.
-            j = int(np.argmin(d))
-            if d[j] >= _INF:
-                break
-            fixed[j] = True
-            d[j] = _INF
-            n_fixed += 1
-            chosen.append(int(parent_edge[j]))
-            heap_fixes += 1
-            front = np.asarray([j], dtype=np.int64)
-        if n_fixed < n:
-            if not msf:
-                raise DisconnectedGraphError(
-                    "graph is disconnected; rerun with msf=True for a forest"
-                )
-            while next_probe < n and fixed[next_probe]:
-                next_probe += 1
-            if next_probe < n:
-                roots.append(next_probe)
-
-    stats = {
-        "heap_pushes": 0,
-        "heap_pops": heap_fixes,
-        "heap_adjusts": 0,
-        "edges_scanned": edges_scanned,
-        "mwe_fixes": mwe_fixes,
-        "heap_fixes": heap_fixes,
-        "bag_pops": bag_pops,
-        "mode": "vectorized",
-    }
-    return result_from_edge_ids(
-        g,
-        np.asarray(chosen, dtype=np.int64),
-        parent=parent,
         stats=stats,
     )

@@ -39,19 +39,9 @@ _PARALLEL: Dict[str, Callable[..., MSTResult]] = {}
 # loop-only algorithms too, where it trivially resolves to "loop").
 _MODES: Dict[str, tuple[str, ...]] = {
     "prim": ("loop", "vectorized", "auto"),
-    "llp-prim": ("loop", "vectorized", "auto"),
     "boruvka": ("loop", "vectorized", "auto"),
     "llp-boruvka": ("loop", "vectorized", "auto"),
     "parallel-boruvka": ("loop", "vectorized", "auto"),
-}
-
-# Modes that measurably lose to loop mode on every graph shape tried on
-# the reference machine: mode="auto" must never pick them.  llp-prim's
-# frontier cascade pays a NumPy dispatch per (typically tiny) bag round
-# and never recoups it single-threaded — best observed 0.88x at average
-# degree 200.
-_REGRESSION_PRONE: Dict[str, tuple[str, ...]] = {
-    "llp-prim": ("vectorized",),
 }
 
 
@@ -61,15 +51,12 @@ class AlgorithmInfo:
 
     ``modes`` always contains ``"loop"``; it also contains
     ``"vectorized"`` (and ``"auto"``) when the algorithm has an
-    array-kernel fast path.  ``regression_prone`` lists modes the
-    ``auto`` cost model must never select (they lose to loop mode on
-    every measured shape).
+    array-kernel fast path.
     """
 
     name: str
     parallel: bool
     modes: tuple[str, ...]
-    regression_prone: tuple[str, ...] = ()
 
     @property
     def has_vectorized(self) -> bool:
@@ -79,7 +66,6 @@ class AlgorithmInfo:
 
 def _register() -> None:
     from repro.mst.boruvka import boruvka
-    from repro.mst.filter_kruskal import filter_kruskal
     from repro.mst.ghs import ghs
     from repro.mst.kkt import kkt
     from repro.mst.kruskal import kruskal
@@ -87,7 +73,6 @@ def _register() -> None:
     from repro.mst.llp_prim import llp_prim
     from repro.mst.llp_prim_parallel import llp_prim_parallel
     from repro.mst.parallel_boruvka import parallel_boruvka
-    from repro.mst.parallel_filter_kruskal import parallel_filter_kruskal
     from repro.mst.prim import prim
     from repro.mst.prim_lazy import prim_lazy
     from repro.shard.coordinator import sharded_mst
@@ -100,7 +85,6 @@ def _register() -> None:
             "boruvka": boruvka,
             "kruskal": kruskal,
             "kkt": kkt,
-            "filter-kruskal": filter_kruskal,
             "ghs": ghs,
             # Partition → per-process local solves → merge tree; registered
             # sequential because the coordinator itself runs in-process (the
@@ -112,7 +96,6 @@ def _register() -> None:
         {
             "llp-prim-parallel": llp_prim_parallel,
             "parallel-boruvka": parallel_boruvka,
-            "parallel-filter-kruskal": parallel_filter_kruskal,
             "llp-boruvka": llp_boruvka,
         }
     )
@@ -122,7 +105,6 @@ PARALLEL_ALGORITHMS = (
     "llp-prim-parallel",
     "parallel-boruvka",
     "llp-boruvka",
-    "parallel-filter-kruskal",
 )
 
 
@@ -145,7 +127,6 @@ def algorithm_info(name: str) -> AlgorithmInfo:
         name=name,
         parallel=name in _PARALLEL,
         modes=_MODES.get(name, ("loop",)),
-        regression_prone=_REGRESSION_PRONE.get(name, ()),
     )
 
 

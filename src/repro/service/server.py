@@ -18,11 +18,17 @@ way high-QPS serving tiers do:
 
 Per-request end-to-end latency (``serve:<kind>``), batch sizes, and cache
 hit rates land in the service's :class:`~repro.service.metrics.ServiceMetrics`.
+
+Answers leave the process as strict JSON (RFC 8259, which has no
+infinities): :func:`response_line` is the one writer of served records
+and :func:`encode_answer` the one encoding of non-finite floats.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
+import math
 import time
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
@@ -33,9 +39,28 @@ from repro.errors import ServiceError, ServiceOverloadError, ServiceTimeoutError
 from repro.obs.trace import span as _obs_span
 from repro.service.core import MSTService
 
-__all__ = ["AsyncMSTService"]
+__all__ = ["AsyncMSTService", "encode_answer", "response_line"]
 
 _STOP = object()
+
+
+def encode_answer(value: Any) -> Any:
+    """A served scalar with a non-finite float spelled as a string.
+
+    ``+inf`` becomes ``"inf"`` (a bottleneck across components, an
+    unreachable distance), ``-inf`` becomes ``"-inf"`` (a weight sum that
+    overflowed) and NaN ``"nan"``; every other value is returned as is.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
+
+
+def response_line(record: Dict[str, Any]) -> str:
+    """One served response record as a strict-JSON line."""
+    return json.dumps(
+        {k: encode_answer(v) for k, v in record.items()}, allow_nan=False
+    )
 
 
 class AsyncMSTService:

@@ -1,4 +1,4 @@
-"""Core data structures: heaps, union-find, bags, bitsets.
+"""Core data structures: heaps, union-find, bags.
 
 These are the sequential and concurrent building blocks the MST algorithms
 rest on: Prim needs an addressable heap with ``insert_or_adjust`` (the
@@ -14,7 +14,6 @@ from repro.structures.lazy_heap import LazyHeap
 from repro.structures.union_find import UnionFind
 from repro.structures.concurrent_union_find import ConcurrentUnionFind
 from repro.structures.bag import Bag
-from repro.structures.bitset import BitSet
 
 __all__ = [
     "IndexedBinaryHeap",
@@ -24,5 +23,4 @@ __all__ = [
     "UnionFind",
     "ConcurrentUnionFind",
     "Bag",
-    "BitSet",
 ]

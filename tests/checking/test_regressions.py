@@ -35,17 +35,6 @@ def test_prim_vectorized_parallel_edges():
 
 
 # ----------------------------------------------------------------------
-# Bug: llp-prim/vectorized had the same scatter hazard, plus the relax
-# scatter could clobber the parent_edge of a vertex MWE-fixed earlier in
-# the same slice.  Shrunk to 4 vertices / 4 edges with one parallel pair.
-# ----------------------------------------------------------------------
-def test_llp_prim_vectorized_parallel_edges():
-    g = _graph(4, [(0, 1, 2.0), (0, 1, 0.0), (1, 2, 1.0), (2, 3, 3.0)])
-    mismatch = check_one(g, "llp-prim", "vectorized", "sequential")
-    assert mismatch is None, str(mismatch)
-
-
-# ----------------------------------------------------------------------
 # Bug: GHS addresses edges on the wire by (src, dst) endpoint pairs, so
 # two parallel edges are indistinguishable and the fragments livelocked
 # until the delivery bound tripped.  Shrunk to 2 vertices / 2 edges.

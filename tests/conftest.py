@@ -98,6 +98,23 @@ def mst_weight_oracle(g: CSRGraph) -> float:
     return sum(d["weight"] for _, _, d in forest)
 
 
+def strict_json_records(text: str) -> list:
+    """Parse JSONL output under RFC 8259: bare Infinity/NaN raise."""
+    import json
+
+    def reject(constant: str):
+        raise ValueError(f"{constant} is not JSON")
+
+    return [json.loads(line, parse_constant=reject)
+            for line in text.splitlines() if line]
+
+
+# Graphs whose answers are infinite: two components (a bottleneck or a
+# distance across them is +inf) and two -1e308 edges (their sum is -inf).
+TWO_COMPONENTS_GR = "p sp 4 2\na 1 2 1.0\na 3 4 2.0\n"
+NEGATIVE_OVERFLOW_TSV = "0\t1\t-1e308\n1\t2\t-1e308\n"
+
+
 def mst_edge_oracle(g: CSRGraph) -> frozenset[int]:
     """Reference MSF edge-id set via Kruskal (unique with distinct ranks)."""
     from repro.mst.kruskal import kruskal

@@ -1,42 +1,15 @@
-"""Frontier-sparse kernels: batched CSR slicing and scatter-min relaxation.
+"""Frontier-sparse kernels: batched CSR slicing.
 
-The reference semantics are the per-vertex loop the kernels replace:
-relaxing a frontier batch must produce exactly the state of relaxing its
-vertices one at a time (unique edge ranks make the winner per target
-unambiguous, so batch composition cannot matter).
+The reference semantics are the per-vertex loop the kernel replaces: the
+gather of a frontier batch must list exactly the half-edge positions of
+its vertices' slices, in frontier order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import frontier_edges, frontier_relax
-from repro.runtime.sequential import SequentialBackend
-
-INT64_MAX = np.iinfo(np.int64).max
-
-
-def _relax_reference(g, frontier, d, fixed, parent, parent_edge):
-    """Per-vertex, per-edge Python relaxation of the whole frontier."""
-    improved = set()
-    for j in frontier.tolist():
-        for pos in range(int(g.indptr[j]), int(g.indptr[j + 1])):
-            t = int(g.indices[pos])
-            k = int(g.half_ranks[pos])
-            if not fixed[t] and k < d[t]:
-                d[t] = k
-                parent[t] = j
-                parent_edge[t] = int(g.edge_ids[pos])
-                improved.add(t)
-    return improved
-
-
-def _fresh_state(g):
-    d = np.full(g.n_vertices, INT64_MAX, dtype=np.int64)
-    fixed = np.zeros(g.n_vertices, dtype=bool)
-    parent = np.full(g.n_vertices, -1, dtype=np.int64)
-    parent_edge = np.full(g.n_vertices, -1, dtype=np.int64)
-    return d, fixed, parent, parent_edge
+from repro.kernels import frontier_edges
 
 
 def test_frontier_edges_matches_per_vertex_slices(any_graph):
@@ -52,83 +25,3 @@ def test_frontier_edges_matches_per_vertex_slices(any_graph):
                 want_src.append(j)
         assert pos.tolist() == want_pos
         assert src.tolist() == want_src
-
-
-def test_frontier_relax_matches_loop_reference(any_graph):
-    g = any_graph
-    if g.n_vertices == 0:
-        return
-    rng = np.random.default_rng(1)
-    frontier = np.sort(
-        rng.choice(g.n_vertices, size=max(1, g.n_vertices // 3), replace=False)
-    ).astype(np.int64)
-
-    d_ref, fixed, p_ref, pe_ref = _fresh_state(g)
-    # Mark the frontier itself (and a few extras) fixed, as Prim would.
-    fixed[frontier] = True
-    if g.n_vertices > 4:
-        fixed[::5] = True
-    d_vec, _, p_vec, pe_vec = _fresh_state(g)
-
-    want_improved = _relax_reference(g, frontier, d_ref, fixed, p_ref, pe_ref)
-    got_v, got_k = frontier_relax(
-        frontier, g.indptr, g.indices, g.half_ranks, g.edge_ids,
-        d_vec, fixed, p_vec, pe_vec,
-    )
-
-    assert np.array_equal(d_vec, d_ref)
-    assert np.array_equal(p_vec, p_ref)
-    assert np.array_equal(pe_vec, pe_ref)
-    assert set(got_v.tolist()) == want_improved
-    assert np.array_equal(got_k, d_vec[got_v])
-    # Each improved vertex is reported exactly once.
-    assert len(set(got_v.tolist())) == got_v.size
-
-
-def test_frontier_relax_second_pass_is_a_noop(fig1_graph):
-    """Re-relaxing the same frontier cannot improve anything further."""
-    g = fig1_graph
-    frontier = np.array([0, 2], dtype=np.int64)
-    d, fixed, parent, parent_edge = _fresh_state(g)
-    fixed[frontier] = True
-    first, _ = frontier_relax(
-        frontier, g.indptr, g.indices, g.half_ranks, g.edge_ids,
-        d, fixed, parent, parent_edge,
-    )
-    assert first.size > 0
-    again, _ = frontier_relax(
-        frontier, g.indptr, g.indices, g.half_ranks, g.edge_ids,
-        d, fixed, parent, parent_edge,
-    )
-    assert again.size == 0
-
-
-def test_frontier_relax_empty_frontier_and_all_fixed(fig1_graph):
-    g = fig1_graph
-    d, fixed, parent, parent_edge = _fresh_state(g)
-    got_v, got_k = frontier_relax(
-        np.empty(0, dtype=np.int64), g.indptr, g.indices, g.half_ranks,
-        g.edge_ids, d, fixed, parent, parent_edge,
-    )
-    assert got_v.size == got_k.size == 0
-    fixed[:] = True
-    got_v, _ = frontier_relax(
-        np.arange(g.n_vertices, dtype=np.int64), g.indptr, g.indices,
-        g.half_ranks, g.edge_ids, d, fixed, parent, parent_edge,
-    )
-    assert got_v.size == 0
-    assert np.all(parent == -1)
-
-
-def test_frontier_relax_charges_sum_of_degrees(fig1_graph):
-    g = fig1_graph
-    backend = SequentialBackend()
-    frontier = np.array([1, 3], dtype=np.int64)
-    d, fixed, parent, parent_edge = _fresh_state(g)
-    fixed[frontier] = True
-    frontier_relax(
-        frontier, g.indptr, g.indices, g.half_ranks, g.edge_ids,
-        d, fixed, parent, parent_edge, backend=backend,
-    )
-    degrees = int((g.indptr[frontier + 1] - g.indptr[frontier]).sum())
-    assert backend.trace.total_work == degrees

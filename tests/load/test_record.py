@@ -75,9 +75,11 @@ def test_recorder_rejects_unknown_outcome():
 
 def test_recorder_serialises_infinite_results(tmp_path):
     recorder = Recorder()
-    recorder.record(_events()[0], "ok", 1e-3, result=float("inf"))
+    events = _events()
+    recorder.record(events[0], "ok", 1e-3, result=float("inf"))
+    recorder.record(events[1], "ok", 1e-3, result=float("-inf"))
     path = recorder.write(tmp_path / "inf.jsonl")
-    assert read_events(path)[0]["result"] == "inf"
+    assert [r["result"] for r in read_events(path)] == ["inf", "-inf"]
 
 
 def test_read_events_rejects_garbage(tmp_path):

@@ -6,8 +6,8 @@ Three properties pin the adaptive selector down:
   *every* registered algorithm (loop-only ones resolve to their only
   mode) and returns the exact Kruskal-oracle MSF on every adversarial
   graph family;
-* **safety** — :func:`repro.mst.autotune.choose_mode` never returns a
-  mode the registry marks regression-prone, on any graph shape;
+* **safety** — :func:`repro.mst.autotune.choose_mode` returns only a
+  mode the registry lists for the algorithm, on any graph shape;
 * **persistence** — a calibration file overrides the shipped crossovers
   and malformed entries are ignored, never fatal.
 """
@@ -69,18 +69,18 @@ def test_auto_matches_oracle_on_every_family(family):
             assert res.edge_set() == oracle, (family, seed, name)
 
 
-def test_choose_mode_never_picks_regression_prone():
+def test_choose_mode_picks_only_registered_modes():
     for info in list_algorithm_info():
         for n, m in SHAPES:
             mode = choose_mode(info.name, n, m)
-            assert mode in info.modes or mode == "loop"
-            assert mode not in info.regression_prone, (info.name, n, m)
+            assert mode in info.modes, (info.name, n, m)
 
 
 def test_llp_prim_auto_resolves_to_loop_even_when_dense():
-    """The frontier cascade is regression-prone: dense shapes stay loop."""
-    assert "vectorized" in algorithm_info("llp-prim").regression_prone
-    assert choose_mode("llp-prim", 1_000, 100_000) == "loop"
+    """LLP-Prim is registered with loop mode alone: every shape stays loop."""
+    assert algorithm_info("llp-prim").modes == ("loop",)
+    for n, m in SHAPES:
+        assert choose_mode("llp-prim", n, m) == "loop", (n, m)
 
 
 def test_choose_mode_thresholds_for_prim():
@@ -98,6 +98,7 @@ def test_choose_mode_thresholds_for_prim():
 def test_choose_mode_loop_only_algorithms():
     assert choose_mode("kruskal", 1_000_000, 10_000_000) == "loop"
     assert choose_mode("ghs", 1_000, 100_000) == "loop"
+    assert choose_mode("llp-prim", 1_000, 100_000) == "loop"
 
 
 def test_calibration_file_overrides_defaults(tmp_path, monkeypatch):
@@ -125,6 +126,22 @@ def test_calibration_file_overrides_defaults(tmp_path, monkeypatch):
         # (avg degree 2*8/4 = 4.0 >= 3.5).
         assert choose_mode("boruvka", 4, 8) == "vectorized"
         assert choose_mode("boruvka", 100, 8) == "loop"  # degree below bar
+    finally:
+        invalidate_cache()
+
+
+def test_calibration_file_with_legacy_keys_still_applies(tmp_path, monkeypatch):
+    """Files written by older calibrate() runs carry a ``_jit`` stamp;
+    ``_``-prefixed keys are metadata, so the crossovers still apply."""
+    path = tmp_path / "autotune.json"
+    monkeypatch.setenv("REPRO_AUTOTUNE_PATH", str(path))
+    path.write_text(json.dumps(
+        {"_jit": False, "prim": {"min_edges": 7, "min_avg_degree": 1.0}}
+    ))
+    invalidate_cache()
+    try:
+        assert load_crossovers()["prim"] == Crossover(min_edges=7, min_avg_degree=1.0)
+        assert choose_mode("prim", 4, 8) == "vectorized"
     finally:
         invalidate_cache()
 

@@ -1,7 +1,7 @@
 """Cross-algorithm agreement: every algorithm must return the unique MSF.
 
 This is the central correctness property of the reproduction: with
-distinct weight ranks the MSF is unique, so thirteen independent
+distinct weight ranks the MSF is unique, so eleven independent
 implementations (four of them parallel, one distributed, one sharded
 multiprocess) must produce the identical edge set, which in turn must
 match networkx.
@@ -83,9 +83,17 @@ def test_registry_lists_and_rejects():
 
     names = available_algorithms()
     assert "prim" in names and "llp-boruvka" in names and "sharded" in names
-    assert len(names) == 13
-    with pytest.raises(BenchmarkError):
-        get_algorithm("nope")
+    assert len(names) == 11
+    for name in ("nope", "filter-kruskal", "parallel-filter-kruskal"):
+        with pytest.raises(BenchmarkError, match="unknown algorithm"):
+            get_algorithm(name)
+
+
+def test_llp_prim_has_no_vectorized_mode():
+    from repro.errors import BenchmarkError
+
+    with pytest.raises(BenchmarkError, match="no 'vectorized' mode; supported: loop$"):
+        get_algorithm("llp-prim", mode="vectorized")
 
 
 def test_registry_adapters_run(fig1_graph):

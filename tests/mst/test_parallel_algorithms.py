@@ -140,36 +140,3 @@ def test_llp_boruvka_work_less_than_parallel_boruvka():
     llp_boruvka(g, b1)
     parallel_boruvka(g, b2)
     assert b1.trace.total_work < b2.trace.total_work
-
-
-def test_parallel_filter_kruskal_contract(any_graph):
-    from repro.mst.parallel_filter_kruskal import parallel_filter_kruskal
-
-    for backend in (SequentialBackend(), SimulatedBackend(4)):
-        result = parallel_filter_kruskal(any_graph, backend)
-        assert result.edge_set() == mst_edge_oracle(any_graph)
-
-
-def test_parallel_filter_kruskal_on_threads():
-    from repro.mst.parallel_filter_kruskal import parallel_filter_kruskal
-
-    g = gnm_random_graph(80, 500, seed=41)
-    oracle = mst_edge_oracle(g)
-    for _ in range(3):
-        with ThreadBackend(4) as tb:
-            assert parallel_filter_kruskal(g, tb).edge_set() == oracle
-
-
-def test_parallel_filter_kruskal_filters_in_rounds():
-    from repro.mst.parallel_filter_kruskal import parallel_filter_kruskal
-
-    g = gnm_random_graph(150, 4000, seed=42)
-    b = SimulatedBackend(8)
-    result = parallel_filter_kruskal(g, b)
-    assert result.stats["filter_rounds"] >= 1
-    assert result.stats["filtered_out"] > 100
-    # early termination: once n-1 edges are chosen from the light
-    # recursion, the heavy 3/4 of the edge mass is never even filtered
-    assert result.stats["partitions"] <= 6
-    assert b.trace.n_rounds >= 2
-    assert result.edge_set() == mst_edge_oracle(g)

@@ -1,5 +1,5 @@
-"""Sequential MST algorithms: Prim, lazy Prim, LLP-Prim, Boruvka, Kruskal,
-Filter-Kruskal — per-algorithm behaviour and edge cases."""
+"""Sequential MST algorithms: Prim, lazy Prim, LLP-Prim, Boruvka, Kruskal —
+per-algorithm behaviour and edge cases."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.errors import DisconnectedGraphError
 from repro.graphs.builder import from_edges
 from repro.graphs.generators import path_graph, star_graph
 from repro.mst.boruvka import boruvka
-from repro.mst.filter_kruskal import filter_kruskal
 from repro.mst.kruskal import kruskal
 from repro.mst.llp_prim import llp_prim
 from repro.mst.prim import prim
@@ -22,9 +21,8 @@ SEQUENTIAL = [
     ("llp_prim", llp_prim),
     ("llp_prim_noearly", lambda g: llp_prim(g, early_fixing=False)),
     ("boruvka", boruvka),
-    ("boruvka_vec", lambda g: boruvka(g, vectorized=True)),
+    ("boruvka_vec", lambda g: boruvka(g, mode="vectorized")),
     ("kruskal", kruskal),
-    ("filter_kruskal", filter_kruskal),
 ]
 IDS = [s[0] for s in SEQUENTIAL]
 
@@ -176,7 +174,7 @@ def test_boruvka_star_single_round():
 
 def test_boruvka_vectorized_equals_loop(any_graph):
     a = boruvka(any_graph)
-    b = boruvka(any_graph, vectorized=True)
+    b = boruvka(any_graph, mode="vectorized")
     assert a.edge_set() == b.edge_set()
 
 
@@ -185,13 +183,3 @@ def test_kruskal_early_exit():
     g = from_edges([(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)])
     st = kruskal(g).stats
     assert st["edges_scanned"] == 2  # stops after n-1 unions
-
-
-def test_filter_kruskal_filters_on_larger_input():
-    from repro.graphs.generators import gnm_random_graph
-
-    g = gnm_random_graph(60, 500, seed=8)
-    res = filter_kruskal(g)
-    assert res.stats["partitions"] >= 1
-    assert res.stats["filtered_out"] > 0
-    assert res.edge_set() == mst_edge_oracle(g)

@@ -7,6 +7,8 @@ import json
 from repro.cli import main
 from repro.platform import load_manifest
 
+from tests.conftest import NEGATIVE_OVERFLOW_TSV, TWO_COMPONENTS_GR, strict_json_records
+
 
 def _add_tenant(root, name, *extra):
     assert main(["tenant", "add", name, "--root", str(root), *extra]) == 0
@@ -130,3 +132,27 @@ class TestServeMulti:
         errors = [r for r in records if "error" in r]
         assert len(errors) == 3  # bad json, missing tenant, unknown graph
         assert any("result" in r for r in records)
+
+    def test_infinite_answers_are_strict_json(self, tmp_path, capsys):
+        two, neg = tmp_path / "two.gr", tmp_path / "neg.tsv"
+        two.write_text(TWO_COMPONENTS_GR)
+        neg.write_text(NEGATIVE_OVERFLOW_TSV)
+        _add_tenant(tmp_path, "acme")
+        for name, path, extra in (
+            ("split", two, []),
+            ("paths", two, ["--problem", "sssp", "--source", "0"]),
+            ("neg", neg, []),
+        ):
+            assert main(["tenant", "add-graph", "acme", name, "--root",
+                         str(tmp_path), "--input", str(path), *extra]) == 0
+        capsys.readouterr()  # flush the tenant-verb confirmations
+        queries = tmp_path / "q.jsonl"
+        queries.write_text("\n".join([
+            '{"tenant":"acme","graph":"split","op":"bottleneck","u":0,"v":3}',
+            '{"tenant":"acme","graph":"paths","op":"dist","u":3}',
+            '{"tenant":"acme","graph":"neg","op":"weight"}',
+        ]) + "\n")
+        assert main(["serve", "--multi", "--root", str(tmp_path),
+                     "--queries", str(queries)]) == 0
+        records = strict_json_records(capsys.readouterr().out)
+        assert [r["result"] for r in records] == ["inf", "inf", "-inf"]

@@ -1,12 +1,6 @@
-"""Bag (the R set) and BitSet."""
-
-import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+"""Bag (the R set)."""
 
 from repro.structures.bag import Bag
-from repro.structures.bitset import BitSet
 
 
 # ----------------------------------------------------------------- Bag
@@ -40,70 +34,3 @@ def test_bag_extend_counters_iter_clear():
 
 def test_bag_init_from_iterable():
     assert len(Bag(range(4))) == 4
-
-
-# --------------------------------------------------------------- BitSet
-def test_bitset_add_contains_discard():
-    s = BitSet(100)
-    s.add(0)
-    s.add(63)
-    s.add(64)
-    s.add(99)
-    assert 0 in s and 63 in s and 64 in s and 99 in s
-    assert 1 not in s
-    s.discard(63)
-    assert 63 not in s
-    assert len(s) == 3
-
-
-def test_bitset_out_of_range():
-    s = BitSet(10)
-    with pytest.raises(IndexError):
-        s.add(10)
-    with pytest.raises(IndexError):
-        s.discard(-1)
-    assert 100 not in s  # contains is permissive
-    with pytest.raises(IndexError):
-        s.add_many(np.array([3, 11]))
-
-
-def test_bitset_iter_sorted():
-    s = BitSet(130)
-    for i in (128, 2, 65):
-        s.add(i)
-    assert list(s) == [2, 65, 128]
-
-
-def test_bitset_add_many_and_to_array():
-    s = BitSet(70)
-    s.add_many(np.array([1, 64, 69]))
-    arr = s.to_array()
-    assert arr.shape == (70,)
-    assert arr[1] and arr[64] and arr[69]
-    assert arr.sum() == 3
-
-
-def test_bitset_clear_and_universe():
-    s = BitSet(20)
-    s.add_many(np.arange(20))
-    assert len(s) == 20
-    s.clear()
-    assert len(s) == 0
-    assert s.universe == 20
-
-
-@given(st.lists(st.integers(0, 199), max_size=80))
-@settings(max_examples=50, deadline=None)
-def test_bitset_matches_set_model(idx):
-    s = BitSet(200)
-    model = set()
-    for i in idx:
-        if i in model:
-            s.discard(i)
-            model.discard(i)
-        else:
-            s.add(i)
-            model.add(i)
-    assert sorted(model) == list(s)
-    assert len(s) == len(model)
-    assert s.to_array().sum() == len(model)

@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from tests.conftest import NEGATIVE_OVERFLOW_TSV, TWO_COMPONENTS_GR, strict_json_records
+
 
 def test_info(capsys):
     assert main(["info"]) == 0
@@ -20,6 +22,12 @@ def test_mst_on_dataset(capsys):
     out = capsys.readouterr().out
     assert "verified" in out
     assert "weight:" in out
+
+
+def test_mst_llp_prim_has_no_vectorized_mode(capsys):
+    assert main(["mst", "--algo", "llp-prim", "--mode", "vectorized",
+                 "--dataset", "usa-road", "--scale", "6"]) == 2
+    assert "has no 'vectorized' mode" in capsys.readouterr().err
 
 
 def test_mst_parallel_algo_reports_modelled_time(capsys):
@@ -210,6 +218,23 @@ def test_serve_prints_summary_line_on_clean_exit(tmp_path, capsys):
     assert "served=1" in err and "rejected=0" in err
 
 
+@pytest.mark.parametrize("graph,flags,request_line,want", [
+    ("two.gr", [], '{"op": "bottleneck", "u": 0, "v": 3}', "inf"),
+    ("two.gr", ["--problem", "sssp", "--source", "0"], '{"op": "dist", "u": 3}', "inf"),
+    ("neg.tsv", [], '{"op": "weight"}', "-inf"),
+])
+def test_serve_answers_are_strict_json(tmp_path, capsys, graph, flags,
+                                       request_line, want):
+    (tmp_path / "two.gr").write_text(TWO_COMPONENTS_GR)
+    (tmp_path / "neg.tsv").write_text(NEGATIVE_OVERFLOW_TSV)
+    queries = tmp_path / "q.jsonl"
+    queries.write_text(request_line + "\n")
+    assert main(["serve", "--input", str(tmp_path / graph), *flags,
+                 "--queries", str(queries)]) == 0
+    [record] = strict_json_records(capsys.readouterr().out)
+    assert record["result"] == want
+
+
 def test_mst_spill_dir_end_to_end(tmp_path, capsys):
     from repro.graphs.generators import grid_graph
     from repro.graphs.io import write_dimacs
@@ -244,10 +269,3 @@ def test_mst_rejects_bad_arena_backing():
     with pytest.raises(SystemExit):
         parser.parse_args(["mst", "--dataset", "usa-road",
                            "--arena-backing", "floppy"])
-
-
-def test_info_reports_jit_gate(capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_JIT", "0")
-    assert main(["info"]) == 0
-    out = capsys.readouterr().out
-    assert "jit:" in out and "disabled" in out

@@ -50,7 +50,6 @@ from repro.shard import leaked_segments, sharded_mst
 BASELINES = [
     ("kruskal", None),
     ("boruvka", "vectorized"),
-    ("llp-prim", "vectorized"),
     ("prim", "vectorized"),
 ]
 
