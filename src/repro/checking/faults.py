@@ -228,9 +228,11 @@ def check_mid_batch_cancellation(*, seed: int = 0) -> FaultReport:
     n = g.n_vertices
 
     async def probe() -> None:
-        # A long batch window guarantees the cancellations land while the
-        # batch is still being coalesced — the race under test.
-        async with AsyncMSTService(svc, max_batch=64, max_delay_s=0.05) as server:
+        # The tasks enqueue their requests during this coroutine's yield,
+        # and the cancellations below run before the batch worker's next
+        # turn: each cancelled request is still queued and joins the batch
+        # with its live peers — the race under test.
+        async with AsyncMSTService(svc, max_batch=64) as server:
             tasks = [
                 asyncio.create_task(server.query("connected", i % n, (i + 1) % n))
                 for i in range(16)

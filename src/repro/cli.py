@@ -245,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
                              'like {"op": "connected", "u": 0, "v": 5}')
     servep.add_argument("--max-batch", type=int, default=256,
                         help="coalesce at most this many requests per batch")
-    servep.add_argument("--max-delay-ms", type=float, default=2.0,
-                        help="wait at most this long for a batch to fill")
     servep.add_argument("--metrics", action="store_true",
                         help="print the service metrics report to stderr at exit")
     servep.add_argument("--multi", action="store_true",
@@ -912,10 +910,12 @@ def _answer_queries(svc, args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import json as _json
+    """``serve``: answer a JSON-lines request stream for one graph.
 
-    from repro.errors import ReproError, ServiceError
+    ``--multi`` hands over to :func:`_cmd_serve_multi`; both modes run
+    the same loop, :func:`_serve_jsonl`.
+    """
+    from repro.errors import ReproError
     from repro.service.server import AsyncMSTService
 
     if args.multi:
@@ -947,69 +947,88 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"[{'warm' if warm else 'cold'} load {load_s * 1e3:.1f} ms]",
           file=sys.stderr)
 
+    def report() -> None:
+        print(svc.metrics.summary_line(), file=sys.stderr)
+        if args.metrics:
+            print(svc.metrics.render(), file=sys.stderr)
+
+    return _serve_jsonl(
+        args, AsyncMSTService(svc, max_batch=args.max_batch), (), report
+    )
+
+
+def _serve_jsonl(args: argparse.Namespace, server, route: tuple[str, ...],
+                 report) -> int:
+    """The JSON-lines request/response loop both serve modes run.
+
+    Reads ``--queries`` (or stdin), parses each non-empty line into
+    ``(*route, op, u, v, w)`` — the positional arguments of the server's
+    ``query`` — issues every well-formed request to ``server``, then
+    writes one response record per line and calls ``report`` for the
+    stderr summary.  A malformed line gets a
+    structured error record in the stream; it never aborts the run or
+    drops the requests coalesced around it.
+
+    SIGINT contract: intake stops (no new request is issued), what is
+    already in flight drains through the server's ``stop()`` (run by the
+    context-manager exit), un-issued lines are answered with a structured
+    "interrupted" record, and the exit code is 130.
+    """
+    import asyncio
+    import json as _json
+
+    from repro.errors import QuotaExceededError, ReproError
+
     lines = (args.queries.read_text() if args.queries is not None
              else sys.stdin.read()).splitlines()
-    # A malformed or oversized request line yields a structured error
-    # *record* in the response stream; it must never abort the run and
-    # drop the well-formed requests coalesced around it.
     parsed: list[tuple[int, tuple | None, str | None]] = []
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
-        if not line:
-            continue
-        request, error = _parse_serve_request(line, _json)
-        parsed.append((lineno, request, error))
+        if line:
+            parsed.append((lineno, *_parse_serve_request(line, _json, route)))
 
-    requests = [(lineno, *request) for lineno, request, _ in parsed
-                if request is not None]
-
-    # SIGINT contract: stop intake (no new requests issued), drain what is
-    # already in flight through the service's own stop() (run by the
-    # context-manager exit), answer un-issued lines with a structured
-    # "interrupted" record, and print the final metrics summary line.
-    async def _run() -> tuple[dict, bool]:
+    async def run() -> tuple[dict, bool]:
         loop = asyncio.get_running_loop()
         stop_intake = asyncio.Event()
         uninstall = _install_sigint(loop, stop_intake.set)
         answers: dict[int, object] = {}
         interrupted = False
         try:
-            async with AsyncMSTService(
-                svc, max_batch=args.max_batch, max_delay_s=args.max_delay_ms / 1e3
-            ) as server:
-                async def one(lineno, op, u, v, w):
+            async with server:
+                async def one(lineno, request):
                     try:
-                        answers[lineno] = await server.query(op, u, v, w)
-                    except (ReproError, ServiceError) as exc:
+                        answers[lineno] = await server.query(*request)
+                    except QuotaExceededError as exc:
+                        answers[lineno] = exc.to_record()
+                    except ReproError as exc:
                         answers[lineno] = {"error": str(exc)}
                     except Exception as exc:  # malformed args the engine rejected
                         answers[lineno] = {"error": f"{type(exc).__name__}: {exc}"}
 
                 tasks = []
-                for lineno, op, u, v, w in requests:
+                for lineno, request, _ in parsed:
+                    if request is None:
+                        continue
                     if stop_intake.is_set():
                         interrupted = True
                         break
-                    tasks.append(asyncio.create_task(one(lineno, op, u, v, w)))
+                    tasks.append(asyncio.create_task(one(lineno, request)))
                     # Yield so the signal handler (and the batch worker)
                     # gets a turn between submissions.
                     await asyncio.sleep(0)
                 if tasks:
                     await asyncio.gather(*tasks)
-                # Context-manager exit runs stop(): in-flight work drains.
         finally:
             uninstall()
         return answers, interrupted
 
     try:
-        answers, interrupted = asyncio.run(_run())
+        answers, interrupted = asyncio.run(run())
     except ReproError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    _write_responses(parsed, answers, ("op", "u", "v", "w"), interrupted)
-    print(svc.metrics.summary_line(), file=sys.stderr)
-    if args.metrics:
-        print(svc.metrics.render(), file=sys.stderr)
+    _write_responses(parsed, answers, (*route, "op", "u", "v", "w"), interrupted)
+    report()
     return 130 if interrupted else 0
 
 
@@ -1042,7 +1061,7 @@ def _write_responses(
 ) -> None:
     """Print one strict-JSON response record per request line, in input order.
 
-    The writer both serve loops share.  ``fields`` names the positions of a
+    The writer both serve modes share.  ``fields`` names the positions of a
     parsed request tuple (``None`` operands are left out of the record); a
     malformed line is answered with its line number and parse error, an
     un-issued one as interrupted, an error answer (a dict carrying
@@ -1085,10 +1104,7 @@ def _cmd_serve_multi(args: argparse.Namespace) -> int:
     :meth:`~repro.errors.QuotaExceededError.to_record` (``code``,
     ``reason``, ``retry_after_s``) so callers can back off per tenant.
     """
-    import asyncio
-    import json as _json
-
-    from repro.errors import QuotaExceededError, ReproError, ServiceError
+    from repro.errors import ReproError
     from repro.platform import MultiTenantServer, build_platform
 
     if args.root is None:
@@ -1111,76 +1127,24 @@ def _cmd_serve_multi(args: argparse.Namespace) -> int:
           f"{len(platform.tenants())} tenant(s) from {args.root}",
           file=sys.stderr)
 
-    lines = (args.queries.read_text() if args.queries is not None
-             else sys.stdin.read()).splitlines()
-    parsed: list[tuple[int, tuple | None, str | None]] = []
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if line:
-            parsed.append(
-                (lineno, *_parse_serve_request(line, _json, ("tenant", "graph")))
-            )
-    requests = [(lineno, *request) for lineno, request, _ in parsed
-                if request is not None]
-
-    async def _run() -> tuple[dict, bool]:
-        loop = asyncio.get_running_loop()
-        stop_intake = asyncio.Event()
-        uninstall = _install_sigint(loop, stop_intake.set)
-        answers: dict[int, object] = {}
-        interrupted = False
-        try:
-            async with MultiTenantServer(
-                platform, max_batch=args.max_batch,
-                max_delay_s=args.max_delay_ms / 1e3,
-            ) as server:
-                async def one(lineno, tenant, graph, op, u, v, w):
-                    try:
-                        answers[lineno] = await server.query(
-                            tenant, graph, op, u, v, w
-                        )
-                    except QuotaExceededError as exc:
-                        answers[lineno] = exc.to_record()
-                    except (ReproError, ServiceError) as exc:
-                        answers[lineno] = {"error": str(exc)}
-                    except Exception as exc:
-                        answers[lineno] = {"error": f"{type(exc).__name__}: {exc}"}
-
-                tasks = []
-                for lineno, tenant, graph, op, u, v, w in requests:
-                    if stop_intake.is_set():
-                        interrupted = True
-                        break
-                    tasks.append(asyncio.create_task(
-                        one(lineno, tenant, graph, op, u, v, w)
-                    ))
-                    await asyncio.sleep(0)
-                if tasks:
-                    await asyncio.gather(*tasks)
-        finally:
-            uninstall()
-        return answers, interrupted
+    def report() -> None:
+        for tname in platform.tenants():
+            state = platform.tenant(tname)
+            print(f"[{tname}] {state.metrics.summary_line()} "
+                  f"quota_rejected={state.rejected_rate + state.rejected_queue}",
+                  file=sys.stderr)
+        if args.metrics:
+            for tname in platform.tenants():
+                print(f"--- tenant {tname} ---", file=sys.stderr)
+                print(platform.tenant(tname).metrics.render(), file=sys.stderr)
 
     try:
-        answers, interrupted = asyncio.run(_run())
-    except ReproError as exc:
+        return _serve_jsonl(
+            args, MultiTenantServer(platform, max_batch=args.max_batch),
+            ("tenant", "graph"), report,
+        )
+    finally:
         platform.close()
-        print(str(exc), file=sys.stderr)
-        return 2
-    _write_responses(
-        parsed, answers, ("tenant", "graph", "op", "u", "v", "w"), interrupted
-    )
-    for tname in platform.tenants():
-        state = platform.tenant(tname)
-        print(f"[{tname}] {state.metrics.summary_line()} "
-              f"quota_rejected={state.rejected_rate + state.rejected_queue}",
-              file=sys.stderr)
-    if args.metrics:
-        for tname in platform.tenants():
-            print(f"--- tenant {tname} ---", file=sys.stderr)
-            print(platform.tenant(tname).metrics.render(), file=sys.stderr)
-    platform.close()
-    return 130 if interrupted else 0
 
 
 def _cmd_tenant(args: argparse.Namespace) -> int:

@@ -198,10 +198,7 @@ def run_scenario(
     events: Optional[Sequence[RequestEvent]] = None,
     record: bool = True,
     time_scale: float = 1.0,
-    max_batch: int = 256,
-    max_delay_s: float = 0.002,
     max_pending: int = 1024,
-    cache_size: int = 4096,
 ) -> LoadResult:
     """Expand (or replay) a scenario and drive it to completion.
 
@@ -218,10 +215,7 @@ def run_scenario(
     recorder = Recorder() if record else None
 
     async def main() -> LoadResult:
-        async with AsyncMSTService(
-            service, max_batch=max_batch, max_delay_s=max_delay_s,
-            max_pending=max_pending, cache_size=cache_size,
-        ) as server:
+        async with AsyncMSTService(service, max_pending=max_pending) as server:
             return await run_events(
                 server, events, scenario_name=scenario.name,
                 seed=scenario.seed, timeout_s=scenario.timeout_s,

@@ -185,9 +185,6 @@ def run_multitenant(
     *,
     time_scale: float = 1.0,
     timeout_s: Optional[float] = None,
-    max_batch: int = 256,
-    max_delay_s: float = 0.002,
-    max_pending: int = 1024,
 ) -> MultiTenantLoadResult:
     """Drive several tenants' scenarios concurrently at one platform.
 
@@ -215,10 +212,7 @@ def run_multitenant(
     }
 
     async def main() -> MultiTenantLoadResult:
-        async with MultiTenantServer(
-            platform, max_batch=max_batch, max_delay_s=max_delay_s,
-            max_pending=max_pending,
-        ) as server:
+        async with MultiTenantServer(platform) as server:
             for load in loads:
                 await server.ensure(load.tenant, load.graph)
             wall = await _drive(

@@ -135,7 +135,6 @@ def run_soak(
     time_scale: float = 1.0,
     error_budget: float = 0.1,
     events_out: Optional[str | Path] = None,
-    max_pending: int = 1024,
 ) -> Dict:
     """Run one faults-under-load soak and return the SLO report dict.
 
@@ -187,7 +186,7 @@ def run_soak(
         wall_duration = scenario.duration_s * time_scale
 
         async def main() -> LoadResult:
-            async with AsyncMSTService(svc, max_pending=max_pending) as server:
+            async with AsyncMSTService(svc) as server:
                 fault_tasks = []
                 for outcome in outcomes:
                     if outcome.family == "artifact-corruption":

@@ -62,9 +62,13 @@ class Crossover:
 # Measured on the reference machine (single core, NumPy BLAS defaults);
 # calibrate() overrides these with this machine's own measurements.
 DEFAULT_CROSSOVERS: Dict[str, Crossover] = {
-    # argmin-Prim: O(n) scan per pop needs dense graphs to amortize
-    # (measured 1.17x at avg degree 100, 0.84x at 40 → crossover ~64).
-    "prim": Crossover(min_edges=2048, min_avg_degree=64.0),
+    # argmin-Prim: O(n) scan per pop needs dense graphs to amortize.
+    # Vectorized speed over loop on G(n, m) with m = 60,000 and
+    # n = 2m/degree, three sweeps of three alternating rounds: 0.74-1.08x
+    # at average degree 48, 0.71-1.07x at 64, 0.95-1.32x at 96 and
+    # 1.07-1.30x at 128, the lowest degree at which vectorized won every
+    # round of every sweep.
+    "prim": Crossover(min_edges=2048, min_avg_degree=128.0),
     # Round-vectorized Boruvka variants win from a few hundred edges at
     # any density (measured 1.3x–80x across the shape grid).
     "boruvka": Crossover(min_edges=256, min_avg_degree=0.0),

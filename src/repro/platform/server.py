@@ -6,15 +6,20 @@ out: requests name a ``tenant`` and ``graph``, admission control runs
 the tenant's :class:`~repro.platform.quota.TenantQuota`), and each
 resident graph gets its own coalescing async wrapper lazily, so
 batching/caching stay per-graph while quotas and worker processes are
-shared platform-wide.
+shared platform-wide.  A tenant's wrappers share one intake: a batch
+takes what is queued for its graph, yields, and takes again while a yield
+brings any of the tenant's requests; it closes on a quiet yield or once
+the tenant holds ``max_batch`` requests, and never waits on a timer.
 
 Rejections are structured, never crashes: a drained bucket or a full
 in-flight window raises :class:`~repro.errors.QuotaExceededError`, whose
 ``to_record()`` is the 429-style JSON the serve loop writes back —
 ``{"error": ..., "code": 429, "tenant": ..., "reason": "rate"|"queue",
 "retry_after_s": ...}``.  Admitted requests hold one in-flight slot from
-admission to completion; the open-loop :meth:`query_nowait` path releases
-it from the future's done callback so load generators never leak slots.
+admission to completion.  :meth:`query` frees it the moment the batch
+worker answers, before the caller's task runs again, so the request after
+a full batch finds the batch's slots free; the open-loop
+:meth:`query_nowait` path frees it from the future's done callback.
 """
 
 from __future__ import annotations
@@ -27,6 +32,22 @@ from repro.service.server import AsyncMSTService
 __all__ = ["MultiTenantServer"]
 
 
+class _Admitted(asyncio.Future):
+    """A request's future that frees its in-flight slot as it resolves."""
+
+    def __init__(self, release) -> None:
+        super().__init__()
+        self._release = release
+
+    def set_result(self, result) -> None:
+        super().set_result(result)
+        self._release()
+
+    def set_exception(self, exception) -> None:
+        super().set_exception(exception)
+        self._release()
+
+
 class MultiTenantServer:
     """Async serving tier over a :class:`~repro.platform.registry.GraphPlatform`.
 
@@ -34,25 +55,18 @@ class MultiTenantServer:
     lazily per ``(tenant, graph)`` and kept for the server's lifetime —
     wrappers stay valid across engine eviction because eviction
     invalidates the underlying service's engine, never the service
-    object.  ``max_batch``/``max_delay_s``/``max_pending``/``cache_size``
-    are per-wrapper knobs passed through unchanged.
+    object.  ``max_batch`` is passed through to every wrapper; their
+    other settings keep the :class:`AsyncMSTService` defaults.  A
+    tenant's wrappers hold at most ``max_batch`` requests between them,
+    so a ``max_batch`` within the tenant's in-flight window never turns
+    batching into quota rejections.
     """
 
-    def __init__(
-        self,
-        platform,
-        *,
-        max_batch: int = 256,
-        max_delay_s: float = 0.002,
-        max_pending: int = 1024,
-        cache_size: int = 4096,
-    ) -> None:
+    def __init__(self, platform, *, max_batch: int = 256) -> None:
         self.platform = platform
-        self._opts = dict(
-            max_batch=max_batch, max_delay_s=max_delay_s,
-            max_pending=max_pending, cache_size=cache_size,
-        )
+        self._max_batch = max_batch
         self._wrappers: Dict[Tuple[str, str], AsyncMSTService] = {}
+        self._intakes: Dict[str, object] = {}
         self._started = False
 
     async def _wrapper(self, tenant: str, graph: str) -> AsyncMSTService:
@@ -61,7 +75,8 @@ class MultiTenantServer:
         wrapper = self._wrappers.get(key)
         if wrapper is None:
             svc = self.platform.get_service(tenant, graph)
-            wrapper = AsyncMSTService(svc, **self._opts)
+            wrapper = AsyncMSTService(svc, max_batch=self._max_batch)
+            wrapper._intake = self._intakes.setdefault(tenant, wrapper._intake)
             self._wrappers[key] = wrapper
         if self._started:
             await wrapper.start()
@@ -79,12 +94,13 @@ class MultiTenantServer:
 
         Admission happens first — a rejected request never resolves the
         graph, builds an engine, or enqueues work.  The in-flight slot is
-        held across the await and released on any outcome.
+        released when the answer (or error) is set, or on any other exit.
         """
         release = self.platform.admit(tenant)
         try:
             wrapper = await self._wrapper(tenant, graph)
-            return await wrapper.query(kind, u, v, w, timeout_s=timeout_s)
+            return await (await wrapper._submit(
+                _Admitted(release), kind, u, v, w, timeout_s))
         finally:
             release()
 

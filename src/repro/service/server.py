@@ -5,8 +5,10 @@ arrives one query at a time.  :class:`AsyncMSTService` closes that gap the
 way high-QPS serving tiers do:
 
 * **coalescing** — incoming requests land on a queue; a single worker
-  drains up to ``max_batch`` of them (waiting at most ``max_delay_s`` for
-  stragglers) and executes one vectorized batch per query kind;
+  takes every queued request, yields to the event loop, and takes again
+  while each yield brings more requests (up to ``max_batch``), then
+  executes one vectorized batch per query kind — no timer, so a lone
+  request never waits for stragglers;
 * **hot-result LRU cache** — repeat queries short-circuit before they
   ever reach the queue;
 * **bounded queue with backpressure** — producers ``await`` when the
@@ -43,6 +45,15 @@ __all__ = ["AsyncMSTService", "encode_answer", "response_line"]
 
 _STOP = object()
 
+#: Hot results each service keeps in its LRU cache.
+CACHE_SIZE = 4096
+
+
+class _Intake:
+    """Requests admitted (cache hits included) and held (queued or in an
+    unrun batch): per service, or shared by one tenant's platform wrappers."""
+    arrivals = held = 0
+
 
 def encode_answer(value: Any) -> Any:
     """A served scalar with a non-finite float spelled as a string.
@@ -71,9 +82,7 @@ class AsyncMSTService:
         service: MSTService,
         *,
         max_batch: int = 256,
-        max_delay_s: float = 0.002,
         max_pending: int = 1024,
-        cache_size: int = 4096,
     ) -> None:
         if max_batch <= 0 or max_pending <= 0:
             raise ServiceError("max_batch and max_pending must be positive")
@@ -83,11 +92,10 @@ class AsyncMSTService:
         # batch entry point — the MSF's and every registered problem's.
         self._kinds = tuple(service.query_kinds)
         self.max_batch = int(max_batch)
-        self.max_delay_s = float(max_delay_s)
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=int(max_pending))
         self._cache: "OrderedDict[Tuple, Any]" = OrderedDict()
-        self._cache_size = int(cache_size)
         self._worker: Optional[asyncio.Task] = None
+        self._intake = _Intake()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -142,11 +150,9 @@ class AsyncMSTService:
     # ------------------------------------------------------------------
     # Query entry points
     # ------------------------------------------------------------------
-    def _prepare(self, kind: str, u, v, w, timeout_s):
-        """Shared admission logic; returns ``(key, deadline, cached)``.
-
-        ``cached`` is the sentinel when the request must queue.
-        """
+    def _prepare(self, future, kind: str, u, v, w, timeout_s):
+        """Shared admission logic; returns the queue item for ``future``,
+        or ``None`` after resolving it from the cache."""
         if kind not in self._kinds:
             raise ServiceError(
                 f"unknown query kind {kind!r}; supported: {', '.join(self._kinds)}"
@@ -155,18 +161,18 @@ class AsyncMSTService:
             raise ServiceError("service not started; use 'async with' or await start()")
         if timeout_s is not None and timeout_s <= 0:
             raise ServiceError("timeout_s must be positive")
+        self._intake.arrivals += 1
         key = (kind, u, v, w)
         cached = self._cache.get(key, _STOP)
         if cached is not _STOP:
             self._cache.move_to_end(key)
             self.metrics.record_cache(True)
             self.metrics.record_query(f"serve:{kind}", 0.0)
-            return key, None, cached
+            future.set_result(cached)
+            return None
         self.metrics.record_cache(False)
-        deadline = (
-            time.perf_counter() + timeout_s if timeout_s is not None else None
-        )
-        return key, deadline, _STOP
+        t0 = time.perf_counter()
+        return key, future, t0, (t0 + timeout_s if timeout_s is not None else None)
 
     async def query(self, kind: str, u: int | None = None, v: int | None = None,
                     w: float | None = None, *, timeout_s: float | None = None):
@@ -186,12 +192,18 @@ class AsyncMSTService:
         submission, so time spent blocked on backpressure counts against
         it.
         """
-        key, deadline, cached = self._prepare(kind, u, v, w, timeout_s)
-        if cached is not _STOP:
-            return cached
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        await self._queue.put((key, future, time.perf_counter(), deadline))
-        return await future
+        future = asyncio.get_running_loop().create_future()
+        return await (await self._submit(future, kind, u, v, w, timeout_s))
+
+    async def _submit(self, future, kind, u, v, w, timeout_s) -> asyncio.Future:
+        """Queue one request that resolves ``future``, awaiting backpressure;
+        returns ``future``.  :class:`~repro.platform.server.MultiTenantServer`
+        passes a future that frees the tenant's in-flight slot on resolving."""
+        item = self._prepare(future, kind, u, v, w, timeout_s)
+        if item is not None:
+            await self._queue.put(item)
+            self._intake.held += 1
+        return future
 
     def query_nowait(self, kind: str, u: int | None = None, v: int | None = None,
                      w: float | None = None, *,
@@ -205,28 +217,23 @@ class AsyncMSTService:
         which is what an open-loop load generator needs: offered load
         must never be throttled by service latency.
         """
-        key, deadline, cached = self._prepare(kind, u, v, w, timeout_s)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        if cached is not _STOP:
-            future.set_result(cached)
+        item = self._prepare(future, kind, u, v, w, timeout_s)
+        if item is None:
             return future
         try:
-            self._queue.put_nowait((key, future, time.perf_counter(), deadline))
+            self._queue.put_nowait(item)
         except asyncio.QueueFull:
             self.metrics.record_rejected()
             raise ServiceOverloadError(
                 f"queue full ({self._queue.maxsize} pending); request rejected"
             ) from None
+        self._intake.held += 1
         return future
 
     # ------------------------------------------------------------------
     # Batch worker
     # ------------------------------------------------------------------
-    @staticmethod
-    def _normalize(item: Tuple) -> Tuple:
-        """Pad a legacy 3-tuple request to the deadline-carrying 4-tuple."""
-        return item if len(item) == 4 else (*item, None)
-
     def _expire_overdue(self, batch: List[Tuple]) -> List[Tuple]:
         """Fail requests whose deadline passed while queued; keep the rest.
 
@@ -250,29 +257,37 @@ class AsyncMSTService:
         return live
 
     async def _drain_forever(self) -> None:
+        """The batch worker; also runs the shutdown flush.
+
+        A batch takes every queued request and yields to the event loop,
+        again while each yield brings a request (a cache hit counts: its
+        producer is still active, so it must not close a half-full batch).
+        It closes on a quiet yield, or once its intake holds ``max_batch``
+        requests or ``max_batch`` arrived since it opened.  After the stop
+        sentinel the loop drains the queue in ``max_batch`` chunks without
+        yielding, so :meth:`stop` also answers requests behind the sentinel.
+        """
+        stopping = False
         while True:
-            first = await self._queue.get()
-            if first is _STOP:
-                self._flush_remaining()
-                return
-            batch = [self._normalize(first)]
-            deadline = time.perf_counter() + self.max_delay_s
-            stop_after = False
-            while len(batch) < self.max_batch:
-                try:
-                    item = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    timeout = deadline - time.perf_counter()
-                    if timeout <= 0:
-                        break
-                    try:
-                        item = await asyncio.wait_for(self._queue.get(), timeout)
-                    except asyncio.TimeoutError:
-                        break
-                if item is _STOP:
-                    stop_after = True
-                    break
-                batch.append(self._normalize(item))
+            batch: List[Tuple] = []
+            if not stopping:
+                first = await self._queue.get()
+                if first is _STOP:
+                    stopping = True
+                else:
+                    batch.append(first)
+            stopping = self._take(batch) or stopping
+            intake, opened = self._intake, self._intake.arrivals
+            while (not stopping and intake.held < self.max_batch
+                   and intake.arrivals - opened < self.max_batch):
+                arrivals, size = intake.arrivals, len(batch)
+                await asyncio.sleep(0)
+                stopping = self._take(batch)
+                if intake.arrivals == arrivals and len(batch) == size:
+                    break  # quiet: the yield brought no request
+            intake.held -= len(batch)
+            if not batch:
+                return  # stopping, and the queue is empty
             self.metrics.record_queue_depth(self._queue.qsize())
             batch = self._expire_overdue(batch)
             try:
@@ -284,37 +299,21 @@ class AsyncMSTService:
                 for _, future, _, _ in batch:
                     if not future.done():
                         future.set_exception(exc)
-            if stop_after:
-                self._flush_remaining()
-                return
 
-    def _flush_remaining(self) -> None:
-        """Answer every request still queued at shutdown.
-
-        The stop sentinel does not freeze the queue: a request can be
-        enqueued concurrently with :meth:`stop` and land behind the
-        sentinel.  Dropping those would leave their futures pending
-        forever, so the worker's last act is to execute them in
-        ``max_batch`` chunks.
-        """
-        leftovers: List[Tuple] = []
-        while True:
+    def _take(self, batch: List[Tuple]) -> bool:
+        """Move queued requests into ``batch`` until it is full or the queue
+        is empty; returns whether a stop sentinel was among them."""
+        saw_stop = False
+        while len(batch) < self.max_batch:
             try:
                 item = self._queue.get_nowait()
             except asyncio.QueueEmpty:
                 break
-            if item is not _STOP:  # tolerate duplicate sentinels
-                leftovers.append(self._normalize(item))
-        for i in range(0, len(leftovers), self.max_batch):
-            chunk = self._expire_overdue(leftovers[i : i + self.max_batch])
-            if not chunk:
-                continue
-            try:
-                self._execute(chunk)
-            except Exception as exc:  # pragma: no cover - defensive backstop
-                for _, future, _, _ in chunk:
-                    if not future.done():
-                        future.set_exception(exc)
+            if item is _STOP:  # tolerate duplicate sentinels
+                saw_stop = True
+            else:
+                batch.append(item)
+        return saw_stop
 
     def _execute(self, batch: List[Tuple]) -> None:
         """Run one coalesced batch: group by kind, one vectorized call each."""
@@ -396,5 +395,5 @@ class AsyncMSTService:
     def _remember(self, key: Tuple, value) -> None:
         self._cache[key] = value
         self._cache.move_to_end(key)
-        while len(self._cache) > self._cache_size:
+        while len(self._cache) > CACHE_SIZE:
             self._cache.popitem(last=False)

@@ -42,8 +42,14 @@ def test_outcome_accounting_partitions_offered_load():
 def test_tiny_queue_sheds_load_as_rejections():
     svc = _service()
     scenario = get_scenario("burst", duration_s=1.0, rate_qps=2000, seed=2)
-    result = run_scenario(svc, scenario, time_scale=0.02, max_pending=2,
-                          max_delay_s=0.05, cache_size=1)
+
+    async def main():
+        events = generate_events(scenario, N)
+        async with AsyncMSTService(svc, max_pending=2) as server:
+            return await run_events(server, events, timeout_s=scenario.timeout_s,
+                                    time_scale=0.02)
+
+    result = asyncio.run(main())
     assert result.rejected > 0
     assert _accounting_holds(result)
     assert svc.metrics.rejected == result.rejected
@@ -56,7 +62,7 @@ def test_microscopic_deadline_times_requests_out():
         events = generate_events(
             get_scenario("steady", duration_s=0.5, rate_qps=200, seed=3), N
         )
-        async with AsyncMSTService(svc, cache_size=1) as server:
+        async with AsyncMSTService(svc) as server:
             return await run_events(server, events, timeout_s=1e-9,
                                     time_scale=0.05)
 

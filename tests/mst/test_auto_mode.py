@@ -95,6 +95,15 @@ def test_choose_mode_thresholds_for_prim():
     assert choose_mode("prim", 100_000, 150_000) == "loop"
 
 
+def test_prim_crossover_sits_at_measured_degree():
+    """In the degree sweeps behind DEFAULT_CROSSOVERS, vectorized Prim did
+    not beat loop in every round at average degree 64 or 96; it did at 128."""
+    n = 1_000
+    assert choose_mode("prim", n, 32_000) == "loop"  # degree 64
+    assert choose_mode("prim", n, 48_000) == "loop"  # degree 96
+    assert choose_mode("prim", n, 64_000) == "vectorized"  # degree 128
+
+
 def test_choose_mode_loop_only_algorithms():
     assert choose_mode("kruskal", 1_000_000, 10_000_000) == "loop"
     assert choose_mode("ghs", 1_000, 100_000) == "loop"

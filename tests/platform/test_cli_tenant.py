@@ -114,6 +114,30 @@ class TestServeMulti:
         # The per-tenant summary lines land on stderr.
         assert "acme" in captured.err and "throttled" in captured.err
 
+    def test_full_batches_never_overrun_the_in_flight_window(self, tmp_path,
+                                                            capsys):
+        # The default --max-batch equals the default in-flight window (256).
+        # 400 lines for one graph fill a batch to 256, then 400 lines
+        # alternate two graphs: no line may be refused a slot that a
+        # finished batch is about to free.
+        _add_tenant(tmp_path, "acme")
+        for name in ("a", "b"):
+            assert main(["tenant", "add-graph", "acme", name, "--root",
+                         str(tmp_path), "--gnm", "400:1200:1"]) == 0
+        capsys.readouterr()  # flush the tenant-verb confirmations
+        lines = [{"graph": "a", "op": "component", "u": u} for u in range(400)]
+        lines += [{"graph": "ab"[u % 2], "op": "component_size", "u": u}
+                  for u in range(400)]
+        queries = tmp_path / "q.jsonl"
+        queries.write_text("".join(
+            json.dumps({"tenant": "acme", **line}) + "\n" for line in lines))
+        assert main(["serve", "--multi", "--root", str(tmp_path),
+                     "--queries", str(queries)]) == 0
+        records = [json.loads(line)
+                   for line in capsys.readouterr().out.splitlines()]
+        assert len(records) == 800
+        assert [r for r in records if "result" not in r] == []
+
     def test_bad_lines_reported_inline_not_fatal(self, tmp_path, capsys):
         self._platform(tmp_path)
         capsys.readouterr()  # flush the tenant-verb confirmations

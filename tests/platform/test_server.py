@@ -85,6 +85,31 @@ def test_inflight_slot_released_on_any_outcome():
     assert _run(main()) == 0
 
 
+def test_one_tenants_graphs_batch_together():
+    """A tenant's wrappers share one intake: requests alternating between
+    two of its graphs keep both batches open (not one request per batch),
+    and together the batches hold at most ``max_batch`` requests."""
+
+    async def main():
+        with GraphPlatform() as platform:
+            platform.add_tenant("acme")
+            for name in ("a", "b"):
+                platform.add_graph("acme", name,
+                                   gnm_random_graph(300, 900, seed=1))
+            async with MultiTenantServer(platform, max_batch=64) as server:
+                tasks = []
+                for u in range(600):
+                    tasks.append(asyncio.ensure_future(server.query(
+                        "acme", "ab"[u % 2], "component", u % 300)))
+                    await asyncio.sleep(0)
+                await asyncio.gather(*tasks)
+            return platform.tenant("acme").metrics.batch_histogram()
+
+    histogram = _run(main())  # one tenant's graphs share its metrics
+    assert max(histogram) <= 64
+    assert sum(histogram.values()) <= 20  # 600 requests; 300 if unshared
+
+
 def test_query_nowait_requires_prewarm():
     async def main():
         with _platform() as platform:

@@ -10,6 +10,7 @@ from repro.graphs.generators import gnm_random_graph
 from repro.mst.kruskal import kruskal
 from repro.service.artifacts import ArtifactStore
 from repro.service.core import MSTService
+from repro.service import server as server_module
 from repro.service.server import AsyncMSTService
 
 
@@ -29,7 +30,7 @@ def test_concurrent_queries_coalesce_into_batches(tmp_path):
     svc, g = _service(tmp_path)
 
     async def main():
-        async with AsyncMSTService(svc, max_batch=64, max_delay_s=0.01) as srv:
+        async with AsyncMSTService(svc, max_batch=64) as srv:
             pairs = [(i % 80, (i * 7) % 80) for i in range(100)]
             return await asyncio.gather(
                 *(srv.query("bottleneck", u, v) for u, v in pairs)
@@ -41,6 +42,54 @@ def test_concurrent_queries_coalesce_into_batches(tmp_path):
     assert np.allclose(results, expect)
     hist = svc.metrics.summary()["batch_histogram"]
     assert max(int(k) for k in hist) > 1  # at least one multi-request batch
+
+
+def test_lone_request_schedules_no_timer(tmp_path):
+    """A batch closes when a yield brings nothing new; nothing waits on a
+    timer for stragglers, so a lone request runs at once."""
+    svc, _ = _service(tmp_path)
+
+    async def main():
+        async with AsyncMSTService(svc) as srv:
+            loop = asyncio.get_running_loop()
+            call_at, timers = loop.call_at, []
+
+            def counting_call_at(when, callback, *args, **kwargs):
+                timers.append(callback)
+                return call_at(when, callback, *args, **kwargs)
+
+            loop.call_at = counting_call_at
+            try:
+                answer = await srv.query("connected", 0, 1)
+            finally:
+                del loop.call_at
+            return answer, timers
+
+    answer, timers = _run(main())
+    assert answer in (True, False)
+    assert timers == []
+    assert svc.metrics.summary()["batch_histogram"] == {"1": 1}
+
+
+def test_cache_hits_cannot_hold_a_batch_open(tmp_path):
+    """A cache hit keeps a batch open (its producer is still active), but
+    only until ``max_batch`` requests arrived since the batch opened."""
+    svc, _ = _service(tmp_path)
+
+    async def main():
+        async with AsyncMSTService(svc) as srv:
+            await srv.query("component", 0)  # cache the hot key
+            miss = asyncio.ensure_future(srv.query("component", 1))
+            for hits in range(10_000):
+                if miss.done():
+                    return hits, await miss
+                await srv.query("component", 0)
+                await asyncio.sleep(0)
+            return None, None
+
+    hits, answer = _run(main())
+    assert hits is not None and hits <= 2 * 256
+    assert isinstance(answer, int)
 
 
 def test_repeat_query_hits_lru_cache(tmp_path):
@@ -58,11 +107,12 @@ def test_repeat_query_hits_lru_cache(tmp_path):
     assert s["hits"] == 1 and s["misses"] == 1  # second call never queued
 
 
-def test_lru_cache_evicts_oldest(tmp_path):
+def test_lru_cache_evicts_oldest(tmp_path, monkeypatch):
     svc, _ = _service(tmp_path)
+    monkeypatch.setattr(server_module, "CACHE_SIZE", 2)
 
     async def main():
-        async with AsyncMSTService(svc, cache_size=2) as srv:
+        async with AsyncMSTService(svc) as srv:
             await srv.query("component", 0)
             await srv.query("component", 1)
             await srv.query("component", 2)  # evicts the (component, 0) entry
@@ -77,7 +127,7 @@ def test_backpressure_bounds_queue(tmp_path):
     svc, _ = _service(tmp_path)
 
     async def main():
-        srv = AsyncMSTService(svc, max_pending=4, max_delay_s=0.001)
+        srv = AsyncMSTService(svc, max_pending=4)
         # Not started: puts would block forever, so query() refuses instead.
         with pytest.raises(ServiceError, match="not started"):
             await srv.query("connected", 0, 1)
@@ -123,7 +173,7 @@ def test_stop_flushes_pending_requests(tmp_path):
     svc, _ = _service(tmp_path)
 
     async def main():
-        srv = AsyncMSTService(svc, max_delay_s=0.05)
+        srv = AsyncMSTService(svc)
         await srv.start()
         futs = [asyncio.ensure_future(srv.query("component", i)) for i in range(10)]
         await asyncio.sleep(0)  # let the puts land
@@ -156,7 +206,7 @@ def test_stop_drains_requests_enqueued_behind_sentinel(tmp_path):
     svc, _ = _service(tmp_path)
 
     async def main():
-        srv = AsyncMSTService(svc, max_batch=4, max_delay_s=0.001)
+        srv = AsyncMSTService(svc, max_batch=4)
         await srv.start()
         loop = asyncio.get_running_loop()
         futures = []
@@ -165,12 +215,12 @@ def test_stop_drains_requests_enqueued_behind_sentinel(tmp_path):
         for i in range(3):
             fut = loop.create_future()
             futures.append(fut)
-            srv._queue.put_nowait((("component", i, None, None), fut, 0.0))
+            srv._queue.put_nowait((("component", i, None, None), fut, 0.0, None))
         srv._queue.put_nowait(_STOP)
         for i in range(3, 9):
             fut = loop.create_future()
             futures.append(fut)
-            srv._queue.put_nowait((("component", i, None, None), fut, 0.0))
+            srv._queue.put_nowait((("component", i, None, None), fut, 0.0, None))
         await asyncio.wait_for(srv._worker, timeout=10)
         return await asyncio.wait_for(asyncio.gather(*futures), timeout=10)
 
@@ -185,8 +235,7 @@ def test_query_nowait_sheds_load_when_the_queue_is_full(tmp_path):
     svc, _ = _service(tmp_path)
 
     async def main():
-        async with AsyncMSTService(svc, max_pending=2, max_delay_s=0.05,
-                                   cache_size=1) as srv:
+        async with AsyncMSTService(svc, max_pending=2) as srv:
             futures, rejected = [], 0
             for i in range(50):  # no yields: the worker can't drain between puts
                 try:
@@ -221,7 +270,7 @@ def test_duplicate_hot_keys_coalesce_to_consistent_answers(tmp_path):
     svc, g = _service(tmp_path)
 
     async def main():
-        async with AsyncMSTService(svc, max_batch=128, max_delay_s=0.01) as srv:
+        async with AsyncMSTService(svc, max_batch=128) as srv:
             futs = [srv.query_nowait("bottleneck", 3, 9) for _ in range(60)]
             return await asyncio.gather(*futs)
 
@@ -239,7 +288,7 @@ def test_expired_deadline_times_out_at_dequeue(tmp_path):
     svc, _ = _service(tmp_path)
 
     async def main():
-        async with AsyncMSTService(svc, cache_size=1) as srv:
+        async with AsyncMSTService(svc) as srv:
             futs = [srv.query_nowait("component", i, timeout_s=1e-9)
                     for i in range(5)]
             return await asyncio.gather(*futs, return_exceptions=True)
@@ -282,7 +331,7 @@ def test_flush_remaining_never_drops_or_double_completes(tmp_path):
     svc, _ = _service(tmp_path)
 
     async def main():
-        srv = AsyncMSTService(svc, max_batch=4, max_delay_s=0.05)
+        srv = AsyncMSTService(svc, max_batch=4)
         await srv.start()
         live = [srv.query_nowait("component", i) for i in range(6)]
         dead = [srv.query_nowait("component", 40 + i, timeout_s=1e-9)
@@ -304,8 +353,7 @@ def test_queue_depth_gauge_tracks_the_drain_loop(tmp_path):
     svc, _ = _service(tmp_path)
 
     async def main():
-        async with AsyncMSTService(svc, max_batch=8, max_delay_s=0.001,
-                                   cache_size=1) as srv:
+        async with AsyncMSTService(svc, max_batch=8) as srv:
             futs = [srv.query_nowait("component", i % 80) for i in range(64)]
             await asyncio.gather(*futs)
 

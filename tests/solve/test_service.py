@@ -125,7 +125,7 @@ def test_async_front_end_serves_problem_service(g):
     ora_labels = svc.label(list(range(g.n_vertices)))
 
     async def main():
-        async with AsyncMSTService(svc, max_batch=16, max_delay_s=0.005) as srv:
+        async with AsyncMSTService(svc, max_batch=16) as srv:
             return await asyncio.gather(
                 *(srv.query("label", v) for v in range(10)),
                 srv.query("same", 0, 1),

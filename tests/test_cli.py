@@ -208,6 +208,32 @@ def test_serve_sigint_stops_intake_and_drains(tmp_path, capsys, monkeypatch):
     assert "served=" in captured.err  # the summary line
 
 
+# 1,000 distinct lines; then 256 distinct lines (one full first batch)
+# followed by 512 more misses, each after a line the first batch cached.
+_DISTINCT = list(range(1000))
+_WITH_HITS = list(range(256)) + [u for n in range(256, 768) for u in (0, n)]
+
+
+@pytest.mark.parametrize("us,batches", [(_DISTINCT, 4), (_WITH_HITS, 5)],
+                         ids=["distinct", "with-cache-hits"])
+def test_serve_forms_full_batches(tmp_path, capsys, us, batches):
+    """The intake loop yields after every line, and the batch worker keeps
+    taking while each yield brings a request, queued or answered from the
+    cache, until a batch holds 256 or 256 arrived since it opened: 1,000
+    misses run as 4 batches, and the 1,024 lines after the first full
+    batch as 4 more, whatever the machine's speed."""
+    queries = tmp_path / "q.jsonl"
+    queries.write_text("".join(f'{{"op": "component", "u": {u}}}\n' for u in us))
+    assert main(["serve", "--metrics", "--dataset", "usa-road", "--scale", "10",
+                 "--queries", str(queries)]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == len(us)
+    [line] = [line for line in captured.err.splitlines()
+              if line.strip().startswith("batches")]
+    counts = [int(bucket.split(":")[1]) for bucket in line.split()[1:]]
+    assert sum(counts) == batches, line
+
+
 def test_serve_prints_summary_line_on_clean_exit(tmp_path, capsys):
     queries = tmp_path / "q.jsonl"
     queries.write_text('{"op": "weight"}\n')

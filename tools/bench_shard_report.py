@@ -3,15 +3,17 @@
 Run:  PYTHONPATH=src python tools/bench_shard_report.py [output-path]
       [--n N] [--m M] [--seed S] [--repeats R] [--shards 1,2,4,8]
 
-Times :func:`repro.shard.sharded_mst` at each shard count with the
-``auto`` executor — the library's adaptive choice, which on a
-single-core host resolves to serial and on multi-core hosts to
-processes (each entry's ``executor`` field records the resolution) —
-against the single-process solvers on one G(n, m) random graph —
-default 33k vertices / 100k edges, the ISSUE target size — and checks
-every configuration returns the *identical* MSF edge-id set.  The committed
-``BENCH_shard.json`` at the repo root is this script's output on the
-default arguments.
+Times :func:`repro.shard.sharded_mst` at each shard count against the
+single-process solvers on one G(n, m) random graph (default 33k
+vertices / 100k edges) and checks every configuration returns the
+*identical* MSF edge-id set.  The sharded runs, timed and traced, use
+the ``serial`` executor on every host: ``tools/bench_gate.py`` compares
+a fresh run with the committed one, which holds only when both solved
+the shards the same way.  Each entry's ``executor`` field records
+``serial`` (``direct`` for one shard, which skips the partition).
+Worker processes keep their coverage in ``tests/shard`` and CI's shard
+smoke.  The committed ``BENCH_shard.json`` at the repo root is this
+script's output on the default arguments.
 
 The report keeps all baselines, including ones the sharded solver does
 not beat: on a single-CPU host the win is algorithmic (the global
@@ -128,10 +130,11 @@ def main(argv: list[str] | None = None) -> int:
     sharded = {}
     beats_vectorized = False
     for k in args.shards:
-        secs, res = _best_time(
-            lambda: sharded_mst(g, n_shards=k, partition=args.partition),
-            args.repeats,
-        )
+        def solve():
+            return sharded_mst(g, n_shards=k, partition=args.partition,
+                               executor="serial")
+
+        secs, res = _best_time(solve, args.repeats)
         if frozenset(int(e) for e in res.edge_ids) != reference:
             print(f"FATAL: sharded x{k} diverged from the oracle", file=sys.stderr)
             return 1
@@ -144,9 +147,7 @@ def main(argv: list[str] | None = None) -> int:
             "filter_chosen": int(res.stats.get("filter_chosen", 0)),
             "filter_ratio": round(candidate_edges / args.m, 6),
             "merge_seconds": float(res.stats.get("merge_seconds", 0.0)),
-            "stages": _traced_stages(
-                lambda: sharded_mst(g, n_shards=k, partition=args.partition)
-            ),
+            "stages": _traced_stages(solve),
         }
         wins = sorted(
             label for label, b in baselines.items()
