@@ -1270,8 +1270,7 @@ def _print_tenant_stats(stats: dict, name: str | None) -> None:
         for gname, grec in sorted((rec.get("graphs") or {}).items()):
             print(f"  {gname}: problem={grec['problem']} "
                   f"n={grec['n_vertices']} m={grec['n_edges']} "
-                  f"resident={grec['resident']} dirty={grec['dirty']} "
-                  f"rebuilds={grec['rebuilds']}")
+                  f"resident={grec['resident']}")
     pool = stats.get("pool")
     if pool:
         print(f"pool: live={pool.get('live_workers', 0)} "

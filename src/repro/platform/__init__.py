@@ -4,14 +4,12 @@ The serving layers below this package each manage one graph for one
 caller.  :mod:`repro.platform` turns them into a platform: a
 :class:`GraphPlatform` registry maps ``tenant/graph`` names to
 content-addressed artifacts and resident service instances, a shared
-:class:`WorkerPool` with admission control and fair-share scheduling
-executes every sharded solve and background rebuild, per-tenant
-:class:`TenantQuota` limits (resident graphs, queue depth, request rate)
-reject excess load with structured 429-style errors, and a
-:class:`RebuildScheduler` re-solves mutated graphs off the request path,
-swapping artifacts in atomically.  :class:`MultiTenantServer` is the
-asyncio front door (``repro serve --multi``); the manifest helpers make
-the whole configuration restartable from ``platform.json``.
+:class:`WorkerPool` with admission control executes every sharded
+solve, and per-tenant :class:`TenantQuota` limits (resident graphs,
+queue depth, request rate) reject excess load with structured
+429-style errors.  :class:`MultiTenantServer` is the asyncio front door
+(``repro serve --multi``); the manifest helpers make the whole
+configuration restartable from ``platform.json``.
 """
 
 from repro.platform.manifest import (
@@ -24,7 +22,6 @@ from repro.platform.manifest import (
 )
 from repro.platform.pool import WorkerPool, pool_worker_main
 from repro.platform.quota import DEFAULT_QUOTA, TenantQuota, TokenBucket
-from repro.platform.rebuild import RebuildScheduler, rebuild_artifact_job
 from repro.platform.registry import GraphEntry, GraphPlatform, TenantState
 from repro.platform.server import MultiTenantServer
 
@@ -37,8 +34,6 @@ __all__ = [
     "TenantQuota",
     "TokenBucket",
     "DEFAULT_QUOTA",
-    "RebuildScheduler",
-    "rebuild_artifact_job",
     "MultiTenantServer",
     "build_platform",
     "graph_from_spec",

@@ -133,7 +133,7 @@ def graph_from_spec(spec: dict):
     raise ServiceError(f"unknown graph source spec {spec!r}")
 
 
-def build_platform(root: str | Path, **platform_kwargs):
+def build_platform(root: str | Path):
     """Materialise a :class:`~repro.platform.registry.GraphPlatform` from disk.
 
     Loads ``<root>/platform.json``, registers every tenant with its
@@ -144,7 +144,7 @@ def build_platform(root: str | Path, **platform_kwargs):
     from repro.platform.registry import GraphPlatform
 
     manifest = load_manifest(root)
-    platform = GraphPlatform(root, **platform_kwargs)
+    platform = GraphPlatform(root)
     try:
         for tname, trec in sorted(manifest["tenants"].items()):
             quota = TenantQuota.from_dict(trec.get("quota") or {})

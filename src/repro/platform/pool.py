@@ -1,9 +1,8 @@
 """`WorkerPool` — the shared, admission-controlled process pool.
 
-The shard coordinator used to spawn a fresh batch of worker processes
-for every sharded solve; background rebuilds would have needed a second
-batch of their own.  This pool generalizes that executor into one
-resident resource both lean on:
+The shard coordinator's executor: it runs each shard of a sharded solve
+as one job, either on an ephemeral pool of its own or on the platform's
+resident one.  The pool provides:
 
 * **persistent workers** — each worker process runs a receive/solve/
   reply loop over a duplex pipe, so consecutive jobs skip the fork cost;
@@ -11,10 +10,8 @@ resident resource both lean on:
   and new ones spawn on demand up to ``max_workers``;
 * **admission control** — at most ``max_pending`` jobs may be queued;
   submitting past that raises :class:`~repro.errors.PoolSaturatedError`
-  immediately (bounded backlog, load visibly shed);
-* **fair-share scheduling** — queued jobs live on per-tenant deques
-  drained round-robin, so one hot tenant cannot starve a cold one no
-  matter how deep its own backlog is;
+  immediately (bounded backlog, load visibly shed); queued jobs start in
+  submission order;
 * **per-job timeouts** — an overdue job's worker is killed and the job
   fails with :class:`~repro.errors.PoolTimeoutError`; a worker that dies
   mid-job fails it with :class:`~repro.errors.WorkerCrashedError`.
@@ -38,7 +35,7 @@ import itertools
 import os
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import Future
 from typing import Any, Callable, Dict, Optional
 
@@ -96,15 +93,14 @@ def pool_worker_main(conn) -> None:
 
 
 class _Job:
-    __slots__ = ("job_id", "fn", "args", "kwargs", "tenant",
-                 "timeout_s", "label", "future")
+    __slots__ = ("job_id", "fn", "args", "kwargs", "timeout_s", "label",
+                 "future")
 
-    def __init__(self, job_id, fn, args, kwargs, tenant, timeout_s, label):
+    def __init__(self, job_id, fn, args, kwargs, timeout_s, label):
         self.job_id = job_id
         self.fn = fn
         self.args = args
         self.kwargs = kwargs
-        self.tenant = tenant
         self.timeout_s = timeout_s
         self.label = label
         self.future: Future = Future()
@@ -122,7 +118,7 @@ class _Worker:
 
 
 class WorkerPool:
-    """Bounded process pool with admission control and fair-share dispatch."""
+    """Bounded process pool with admission control and FIFO dispatch."""
 
     def __init__(
         self,
@@ -144,8 +140,7 @@ class WorkerPool:
         self.name = name
         self._ctx = mp.get_context()
         self._lock = threading.RLock()
-        self._queues: "OrderedDict[str, deque]" = OrderedDict()
-        self._rr: deque = deque()  # tenants with queued jobs, drain order
+        self._queue: deque = deque()
         self._workers: Dict[int, _Worker] = {}
         self._ids = itertools.count()
         self._worker_ids = itertools.count()
@@ -155,7 +150,6 @@ class WorkerPool:
             "crashes": 0, "rejected": 0, "spawned": 0, "retired": 0,
             "max_live": 0,
         }
-        self._tenant_stats: Dict[str, Dict[str, int]] = {}
         # The reactor sleeps in conn_wait; submit pokes this self-pipe so
         # a job handed to an idle worker is noticed without waiting a tick.
         self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
@@ -171,7 +165,6 @@ class WorkerPool:
         self,
         fn: Callable,
         *args: Any,
-        tenant: str = "default",
         timeout_s: Optional[float] = None,
         label: Optional[str] = None,
         **kwargs: Any,
@@ -186,24 +179,17 @@ class WorkerPool:
         with self._lock:
             if self._closed:
                 raise PoolUnavailableError(f"pool {self.name!r} is closed")
-            queued = sum(len(q) for q in self._queues.values())
+            queued = len(self._queue)
             if queued >= self.max_pending:
                 self._stats["rejected"] += 1
                 raise PoolSaturatedError(
                     f"pool {self.name!r} backlog full "
                     f"({queued} queued, limit {self.max_pending})"
                 )
-            job = _Job(next(self._ids), fn, args, kwargs,
-                       tenant, timeout_s, label or getattr(fn, "__name__", "job"))
+            job = _Job(next(self._ids), fn, args, kwargs, timeout_s,
+                       label or getattr(fn, "__name__", "job"))
             self._stats["submitted"] += 1
-            ts = self._tenant_stats.setdefault(
-                tenant, {"submitted": 0, "completed": 0, "failed": 0})
-            ts["submitted"] += 1
-            if tenant not in self._queues:
-                self._queues[tenant] = deque()
-            if not self._queues[tenant]:
-                self._rr.append(tenant)
-            self._queues[tenant].append(job)
+            self._queue.append(job)
             self._dispatch_locked()
         self._wake()
         return job.future
@@ -218,9 +204,7 @@ class WorkerPool:
             out["live_workers"] = len(self._workers)
             out["busy_workers"] = sum(
                 1 for w in self._workers.values() if w.job is not None)
-            out["queued"] = sum(len(q) for q in self._queues.values())
-            out["tenants"] = {
-                t: dict(s) for t, s in sorted(self._tenant_stats.items())}
+            out["queued"] = len(self._queue)
             return out
 
     @property
@@ -238,12 +222,10 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
-            for q in self._queues.values():
-                for job in q:
-                    self._fail(job, PoolUnavailableError(
-                        f"pool {self.name!r} closed before the job ran"))
-                q.clear()
-            self._rr.clear()
+            for job in self._queue:
+                self._fail(job, PoolUnavailableError(
+                    f"pool {self.name!r} closed before the job ran"))
+            self._queue.clear()
             workers = list(self._workers.values())
             self._workers.clear()
         for w in workers:
@@ -280,19 +262,6 @@ class WorkerPool:
             self._wake_w.send(b"x")
         except (OSError, ValueError):  # pragma: no cover - closing race
             pass
-
-    def _next_job_locked(self) -> Optional[_Job]:
-        """Pop the next queued job, round-robin across tenants."""
-        while self._rr:
-            tenant = self._rr.popleft()
-            q = self._queues.get(tenant)
-            if not q:
-                continue
-            job = q.popleft()
-            if q:
-                self._rr.append(tenant)
-            return job
-        return None
 
     def _spawn_locked(self) -> Optional[_Worker]:
         """Start one worker; ``None`` when the host refuses to fork."""
@@ -335,11 +304,9 @@ class WorkerPool:
         while True:
             idle = [w for w in self._workers.values() if w.job is None]
             can_spawn = len(self._workers) < self.max_workers
-            if not idle and not can_spawn:
+            if not (idle or can_spawn) or not self._queue:
                 return
-            job = self._next_job_locked()
-            if job is None:
-                return
+            job = self._queue.popleft()
             if job.future.cancelled():
                 continue
             worker = idle[0] if idle else self._spawn_locked()
@@ -348,10 +315,7 @@ class WorkerPool:
                 # one to free up; with none it would wait forever — fail
                 # it so the caller can degrade.
                 if self._workers:
-                    q = self._queues[job.tenant]
-                    q.appendleft(job)
-                    if len(q) == 1:
-                        self._rr.appendleft(job.tenant)
+                    self._queue.appendleft(job)
                     return
                 self._fail(job, PoolUnavailableError(
                     f"pool {self.name!r} cannot spawn workers "
@@ -364,17 +328,11 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def _fail(self, job: _Job, exc: Exception) -> None:
         self._stats["failed"] += 1
-        self._tenant_stats.setdefault(
-            job.tenant, {"submitted": 0, "completed": 0, "failed": 0}
-        )["failed"] += 1
         if not job.future.done():
             job.future.set_exception(exc)
 
     def _complete(self, job: _Job, result: Any) -> None:
         self._stats["completed"] += 1
-        self._tenant_stats.setdefault(
-            job.tenant, {"submitted": 0, "completed": 0, "failed": 0}
-        )["completed"] += 1
         if not job.future.done():
             job.future.set_result(result)
 

@@ -5,8 +5,7 @@ The single-graph services (:class:`~repro.service.core.MSTService`,
 platform: a registry maps ``tenant/graph`` names to content-addressed
 artifacts and live service instances, admission control enforces each
 tenant's :class:`~repro.platform.quota.TenantQuota`, and every sharded
-solve or background rebuild draws from one shared
-:class:`~repro.platform.pool.WorkerPool`.
+solve draws from one shared :class:`~repro.platform.pool.WorkerPool`.
 
 Residency is two-tier, mirroring the artifact design: *registration*
 (the entry, its graph arrays, its on-disk artifact) is bounded by the
@@ -17,12 +16,10 @@ managed LRU: the least-recently-used engine is dropped via
 Eviction therefore never loses data and never rejects — it trades the
 evicted tenant's next-query latency for everyone else's memory.
 
-Mutations mark an entry *dirty*; the
-:class:`~repro.platform.rebuild.RebuildScheduler` re-solves dirty graphs
-off the request path in pool workers and atomically swaps the artifact
-in — unless the entry was mutated again (version bump), evicted, or
-removed in the meantime, each of which is handled without ever serving
-a half-built artifact.
+Mutations (MST entries only) are the service's inline
+:class:`~repro.mst.dynamic.DynamicMSF` repair, which also saves the
+repaired artifact to the store, so a mutated entry that is evicted
+reloads warm.
 """
 
 from __future__ import annotations
@@ -55,13 +52,11 @@ class GraphEntry:
     """One named graph's registration inside a tenant."""
 
     __slots__ = ("tenant", "name", "problem", "algorithm", "mode", "shards",
-                 "params", "source", "graph", "service", "version", "dirty",
-                 "last_used", "rebuilds")
+                 "params", "source", "service", "last_used")
 
     def __init__(self, tenant: str, name: str, *, problem: str,
                  algorithm: str, mode: Optional[str], shards: int,
-                 params: dict, source: Optional[dict], graph: CSRGraph,
-                 service) -> None:
+                 params: dict, source: Optional[dict], service) -> None:
         self.tenant = tenant
         self.name = name
         self.problem = problem
@@ -70,12 +65,13 @@ class GraphEntry:
         self.shards = shards
         self.params = params
         self.source = source or {}
-        self.graph = graph
         self.service = service
-        self.version = 0  # bumped on every mutation; guards rebuild swaps
-        self.dirty = False
         self.last_used = 0
-        self.rebuilds = 0
+
+    @property
+    def graph(self) -> CSRGraph:
+        """The served graph, including every mutation applied so far."""
+        return self.service.graph
 
     @property
     def resident(self) -> bool:
@@ -89,9 +85,6 @@ class GraphEntry:
             "n_vertices": int(self.graph.n_vertices),
             "n_edges": int(self.graph.n_edges),
             "resident": self.resident,
-            "dirty": self.dirty,
-            "version": self.version,
-            "rebuilds": self.rebuilds,
         }
 
 
@@ -129,35 +122,20 @@ class GraphPlatform:
     content-addressed artifact store lives at ``<root>/store/`` and holds
     every tenant's MSF and problem artifacts (two tenants registering
     byte-identical graphs share one artifact); ``None`` keeps everything
-    in memory.  ``pool`` supplies a shared
-    :class:`~repro.platform.pool.WorkerPool`; without one the platform
-    creates its own lazily, on the first operation that needs worker
-    processes.
+    in memory.  The platform's :class:`~repro.platform.pool.WorkerPool`
+    starts on the first sharded solve.  ``clock`` drives the tenants'
+    token buckets.
     """
 
-    def __init__(
-        self,
-        root: str | Path | None = None,
-        *,
-        pool: Optional[WorkerPool] = None,
-        max_workers: Optional[int] = None,
-        max_pending: int = 256,
-        default_quota: TenantQuota = DEFAULT_QUOTA,
-        clock=time.monotonic,
-    ) -> None:
+    def __init__(self, root: str | Path | None = None, *,
+                 clock=time.monotonic) -> None:
         self.root = Path(root) if root is not None else None
-        self.default_quota = default_quota
         self._clock = clock
-        self._max_workers = max_workers
-        self._max_pending = max_pending
-        self._pool = pool
-        self._own_pool = pool is None
+        self._pool: Optional[WorkerPool] = None
         self._lock = threading.RLock()
         self._tenants: Dict[str, TenantState] = {}
         self._seq = itertools.count(1)
         self._store = None
-        self._scheduler = None
-        self._closed = False
         if self.root is not None:
             from repro.service.artifacts import ArtifactStore
 
@@ -171,33 +149,13 @@ class GraphPlatform:
         """The shared worker pool, created lazily on first use."""
         with self._lock:
             if self._pool is None:
-                self._pool = WorkerPool(
-                    self._max_workers, max_pending=self._max_pending,
-                    name="platform",
-                )
+                self._pool = WorkerPool(name="platform")
             return self._pool
 
-    @property
-    def scheduler(self):
-        """The background rebuild scheduler, created lazily on first use."""
-        with self._lock:
-            if self._scheduler is None:
-                from repro.platform.rebuild import RebuildScheduler
-
-                self._scheduler = RebuildScheduler(self)
-            return self._scheduler
-
     def close(self) -> None:
-        """Stop the rebuild scheduler and (if owned) the worker pool."""
+        """Stop the worker pool."""
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            scheduler, self._scheduler = self._scheduler, None
-            pool = self._pool if self._own_pool else None
-            self._pool = None
-        if scheduler is not None:
-            scheduler.stop()
+            pool, self._pool = self._pool, None
         if pool is not None:
             pool.close()
 
@@ -218,19 +176,14 @@ class GraphPlatform:
             if name in self._tenants:
                 raise ServiceError(f"tenant {name!r} already exists")
             state = TenantState(
-                name, quota if quota is not None else self.default_quota,
+                name, quota if quota is not None else DEFAULT_QUOTA,
                 clock=self._clock,
             )
             self._tenants[name] = state
             return state
 
     def remove_tenant(self, name: str) -> None:
-        """Drop a tenant and every graph it registered.
-
-        An in-flight background rebuild for one of its graphs completes
-        in the pool but its result is discarded at swap time (the entry
-        no longer resolves).
-        """
+        """Drop a tenant and every graph it registered."""
         with self._lock:
             if self._tenants.pop(name, None) is None:
                 raise ServiceError(f"unknown tenant {name!r}")
@@ -287,13 +240,13 @@ class GraphPlatform:
                 service = service_for(
                     problem, self._store, mode=mode, metrics=state.metrics,
                     params=params, algorithm=algorithm, shards=shards,
-                    pool=self.pool if shards > 0 else None, tenant=tenant,
+                    pool=self.pool if shards > 0 else None,
                 )
                 service.load_graph(g)
             entry = GraphEntry(
                 tenant, name, problem=problem, algorithm=algorithm,
                 mode=mode, shards=shards, params=params, source=source_spec,
-                graph=g, service=service,
+                service=service,
             )
             entry.last_used = next(self._seq)
             state.graphs[name] = entry
@@ -399,16 +352,15 @@ class GraphPlatform:
         return _ctx()
 
     # ------------------------------------------------------------------
-    # Mutations and background rebuilds
+    # Mutations
     # ------------------------------------------------------------------
     def mutate(self, tenant: str, name: str, op: str, u: int, v: int,
                w: float | None = None):
-        """Apply one edge mutation and schedule a background re-solve.
+        """Apply one edge mutation; returns the edge id of an insert.
 
-        The incremental repair (``DynamicMSF``) answers immediately; the
-        full re-solve runs later in a pool worker and swaps in atomically
-        — unless another mutation bumped the version first, in which case
-        the stale result is dropped and the newer rebuild proceeds.
+        The service's incremental repair (``DynamicMSF``) serves the
+        mutated graph at once and saves its artifact to the store, when
+        the platform has one.
         Mutations are an MST capability; problem entries reject them.
         """
         with self._lock:
@@ -421,75 +373,11 @@ class GraphPlatform:
             with _obs_span("platform:mutate", "platform", tenant=tenant,
                            graph=name, op=op):
                 if op == "insert":
-                    out = e.service.insert_edge(int(u), int(v), w)
-                elif op == "delete":
+                    return e.service.insert_edge(int(u), int(v), w)
+                if op == "delete":
                     e.service.delete_edge(int(u), int(v), w)
-                    out = None
-                else:
-                    raise ServiceError(f"unknown mutation {op!r}")
-            e.graph = e.service.graph
-            e.version += 1
-            e.dirty = True
-            version = e.version
-        self.scheduler.schedule(tenant, name, version)
-        return out
-
-    def mark_dirty(self, tenant: str, name: str) -> None:
-        """Flag ``tenant/name`` for an off-request-path re-solve."""
-        with self._lock:
-            e = self.entry(tenant, name)
-            e.version += 1
-            e.dirty = True
-            version = e.version
-        self.scheduler.schedule(tenant, name, version)
-
-    def snapshot_for_rebuild(self, tenant: str, name: str):
-        """The rebuild job's input: graph arrays + solve spec + version.
-
-        Returns ``None`` when the entry no longer exists (removed tenant
-        or graph) — the scheduler drops the work.
-        """
-        with self._lock:
-            state = self._tenants.get(tenant)
-            e = state.graphs.get(name) if state is not None else None
-            if e is None:
-                return None
-            g = e.graph
-            spec = {
-                "n_vertices": int(g.n_vertices),
-                "edge_u": g.edge_u, "edge_v": g.edge_v, "edge_w": g.edge_w,
-                "problem": e.problem, "algorithm": e.algorithm,
-                "mode": e.mode, "params": dict(e.params),
-            }
-            return spec, e.version
-
-    def complete_rebuild(self, tenant: str, name: str, version: int,
-                         artifact) -> str:
-        """Atomically install a finished rebuild; returns the outcome.
-
-        ``"swapped"`` — the entry is live and current, the engine now
-        serves the new artifact; ``"persisted"`` — the entry was evicted
-        mid-rebuild, the artifact went to the content-addressed store so
-        the next query reloads it warm; ``"stale"`` — the entry was
-        mutated again (version bumped), the result is dropped and the
-        newer rebuild will land instead; ``"discarded"`` — the entry (or
-        its tenant) was removed.
-        """
-        with self._lock:
-            state = self._tenants.get(tenant)
-            e = state.graphs.get(name) if state is not None else None
-            if e is None:
-                return "discarded"
-            if e.version != version:
-                return "stale"
-            e.dirty = False
-            e.rebuilds += 1
-            if e.resident:
-                e.service.adopt_artifact(artifact)
-                return "swapped"
-            if self._store is not None:
-                self._store.save(artifact)
-            return "persisted"
+                    return None
+                raise ServiceError(f"unknown mutation {op!r}")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -504,8 +392,6 @@ class GraphPlatform:
             }
             if self._pool is not None:
                 out["pool"] = self._pool.stats()
-            if self._scheduler is not None:
-                out["rebuilds"] = self._scheduler.stats()
             return out
 
     def metrics_providers(self) -> dict:

@@ -409,17 +409,16 @@ def solve_artifact(
     partition: str = "hash",
     executor: str = "auto",
     pool=None,
-    tenant: str = "default",
 ):
     """Solve ``g`` for ``problem`` and package the artifact.
 
     The one place that tells an MST solve from a registered problem's:
-    the store's miss path, the platform's background rebuilds and
+    the store's miss path, an in-memory service's loads and
     ``repro solve`` all come through here.  ``problem="mst"`` runs the
     MST registry ``algorithm``; ``shards > 0`` routes it through the
     sharded multiprocess coordinator with ``algorithm``/``mode`` as the
     per-shard local solver (``partition``, ``executor`` and a shared
-    ``pool`` billed to ``tenant`` steer that run), and the artifact
+    ``pool`` steer that run), and the artifact
     records ``solver="sharded"`` provenance.  Any other name runs that
     registered problem with ``params``.  ``fingerprint`` is the address
     when the caller already hashed the graph.
@@ -443,7 +442,7 @@ def solve_artifact(
 
         result = sharded_mst(
             g, n_shards=shards, partition=partition, algorithm=algorithm,
-            mode=mode, executor=executor, pool=pool, tenant=tenant,
+            mode=mode, executor=executor, pool=pool,
         )
         return artifact_from_result(
             g, result, algorithm, mode, solver="sharded", shards=shards,
@@ -653,7 +652,7 @@ class ArtifactStore:
         Returns ``(artifact, cache_hit)``.  ``problem``, ``mode``,
         ``algorithm``, ``params`` and ``shards`` name the artifact (see
         :func:`artifact_fingerprint`); ``execution`` (``backend``,
-        ``partition``, ``executor``, ``pool``, ``tenant``) only steers a
+        ``partition``, ``executor``, ``pool``) only steers a
         miss's :func:`solve_artifact`.  A corrupted or
         version-incompatible cached file counts as a miss: it is
         recomputed and overwritten (graceful degradation), never raised

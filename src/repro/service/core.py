@@ -4,7 +4,7 @@
 service shares: the content-addressed
 :class:`~repro.service.artifacts.ArtifactStore` (each artifact solved at
 most once per graph content), offline artifact files, lazy rebuilds
-after invalidation, atomic artifact swaps, and the
+after invalidation, and the
 :class:`~repro.service.metrics.ServiceMetrics` recorder.  A subclass
 names only its artifact recipe, its engine, and its typed queries.
 
@@ -171,25 +171,10 @@ class ArtifactService:
         """The currently served graph (``None`` in offline-artifact mode).
 
         For MST this reflects mutations: after ``insert_edge`` /
-        ``delete_edge`` it is the maintained snapshot, which is what the
-        platform's background rebuild scheduler re-solves from.
+        ``delete_edge`` it is the maintained snapshot, which is what an
+        evicted engine reloads for.
         """
         return self._graph
-
-    def adopt_artifact(self, artifact) -> None:
-        """Atomically swap the served artifact for ``artifact``.
-
-        The background-rebuild hand-off: the new engine is constructed
-        off to the side and installed with one reference assignment, so
-        concurrent queries see either the old complete artifact or the
-        new complete artifact, never a half-built one.  The artifact is
-        also persisted to the store (when there is one).
-        """
-        self._check_kind(artifact)
-        engine = self._engine_type(artifact, backend=self.backend)
-        if self.store is not None:
-            self.store.save(artifact)
-        self._engine = engine
 
     def invalidate(self) -> None:
         """Drop the live engine (next query rebuilds via :meth:`ensure_ready`)."""
@@ -229,7 +214,6 @@ class MSTService(ArtifactService):
         partition: str = "hash",
         executor: str = "auto",
         pool=None,
-        tenant: str = "default",
     ) -> None:
         super().__init__(store, mode=mode, backend=backend, metrics=metrics)
         self.algorithm = algorithm
@@ -237,20 +221,19 @@ class MSTService(ArtifactService):
         # coordinator (repro.shard); warm loads and queries are unaffected.
         # executor picks the coordinator's execution mode ("auto" lets it
         # decide; "process"/"serial" force worker processes on or off).
-        # pool/tenant route sharded builds through a shared WorkerPool
-        # (the multi-tenant platform's) instead of an ephemeral one.
+        # pool routes sharded builds through a shared WorkerPool (the
+        # multi-tenant platform's) instead of an ephemeral one.
         self.shards = int(shards)
         self.partition = partition
         self.executor = executor
         self.pool = pool
-        self.tenant = tenant
         self._dyn: Optional[DynamicMSF] = None
 
     def _recipe(self) -> dict:
         return {
             "algorithm": self.algorithm, "shards": self.shards,
             "partition": self.partition, "executor": self.executor,
-            "pool": self.pool, "tenant": self.tenant,
+            "pool": self.pool,
         }
 
     def _serve(self, artifact, graph: Optional[CSRGraph]) -> None:
@@ -401,7 +384,7 @@ def service_for(
     """The service hosting ``problem`` — the one place that picks it.
 
     ``"mst"`` gets an :class:`MSTService` built with ``mst_options``
-    (``algorithm``, ``shards``, ``pool``, ``tenant``, ...); any registered
+    (``algorithm``, ``shards``, ``pool``, ...); any registered
     problem gets a :class:`~repro.solve.service.ProblemService` solving
     with ``params``.  Options of the other kind are ignored.
     """

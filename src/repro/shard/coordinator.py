@@ -85,7 +85,6 @@ def sharded_mst(
     arena_backing: str = "auto",
     spool_dir: str | None = None,
     pool=None,
-    tenant: str = "default",
 ) -> MSTResult:
     """Partition, solve shards (in processes where worthwhile), and merge.
 
@@ -117,9 +116,9 @@ def sharded_mst(
 
     ``pool`` is an optional shared
     :class:`~repro.platform.pool.WorkerPool`: when given, shard attempts
-    are submitted to it (as tenant ``tenant``) instead of an ephemeral
-    per-call pool, so sharded solves and the platform's background
-    rebuilds draw from one admission-controlled worker budget.
+    are submitted to it instead of an ephemeral per-call pool, so every
+    sharded solve on a platform draws from one admission-controlled
+    worker budget.
     """
     if algorithm == "sharded":
         raise BenchmarkError("sharded cannot recurse into itself as a local solver")
@@ -189,7 +188,7 @@ def sharded_mst(
                         fault=fault, stats=stats,
                         max_concurrent=max_concurrent,
                         arena_backing=arena_backing, spool_dir=spool_dir,
-                        pool=pool, tenant=tenant,
+                        pool=pool,
                     )
                 stats["executor"] = "process"  # type: ignore[assignment]
             except ServiceError:
@@ -304,7 +303,6 @@ def _solve_in_processes(
     arena_backing: str = "auto",
     spool_dir: str | None = None,
     pool=None,
-    tenant: str = "default",
 ) -> List[np.ndarray]:
     """Run every shard as a worker-pool job; retry, time out, fall back.
 
@@ -317,14 +315,13 @@ def _solve_in_processes(
     the solve always completes.
 
     ``pool`` routes shard attempts through a shared
-    :class:`~repro.platform.pool.WorkerPool` (the platform's, also used
-    by background rebuilds); without one an ephemeral pool sized to the
-    concurrency limit is created and torn down around this solve — the
-    historical per-call behaviour.  Retry accounting stays here, not in
-    the pool: each attempt is submitted with the pool's retries off and
-    an incremented :class:`~repro.shard.worker.ShardTask` attempt, which
-    is what keeps the injected-fault semantics (``fault.attempts``)
-    exact.
+    :class:`~repro.platform.pool.WorkerPool` (the platform's); without
+    one an ephemeral pool sized to the concurrency limit is created and
+    torn down around this solve — the historical per-call behaviour.
+    Retry accounting stays here, not in the pool: each attempt is
+    submitted with the pool's retries off and an incremented
+    :class:`~repro.shard.worker.ShardTask` attempt, which is what keeps
+    the injected-fault semantics (``fault.attempts``) exact.
 
     ``max_concurrent`` caps in-flight shard jobs: remaining shards wait
     and are submitted as slots free up, so peak resident memory is the
@@ -366,7 +363,7 @@ def _solve_in_processes(
             traced=tracer.enabled,
         )
         future = pool.submit(
-            run_shard_task, task, tenant=tenant, timeout_s=timeout_s,
+            run_shard_task, task, timeout_s=timeout_s,
             label=f"shard:{shard}:a{attempt}",
         )
         inflight[future] = (shard, attempt)
@@ -418,8 +415,8 @@ def _solve_in_processes(
             while pending and len(inflight) < limit:
                 _submit(pending.popleft(), 0)
     except PoolError as exc:
-        # submit() itself rejected (pool closed or saturated by other
-        # tenants): the solve still completes, just without processes.
+        # submit() itself rejected (pool closed or saturated): the
+        # solve still completes, just without processes.
         raise ServiceError(f"shard worker pool unavailable: {exc}") from exc
     finally:
         if own_pool and pool is not None:

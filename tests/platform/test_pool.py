@@ -1,4 +1,4 @@
-"""WorkerPool contracts: admission, timeouts, crashes, fairness, scale-down."""
+"""WorkerPool contracts: admission, ordering, timeouts, crashes, scale-down."""
 
 from __future__ import annotations
 
@@ -69,13 +69,18 @@ class TestBasics:
             # The worker survives a job error and keeps serving.
             assert pool.submit(_echo, "ok").result(timeout=30) == "ok"
 
-    def test_stats_track_per_tenant(self):
-        with WorkerPool(max_workers=1, name="t") as pool:
-            pool.submit(_echo, 1, tenant="a").result(timeout=30)
-            pool.submit(_echo, 2, tenant="b").result(timeout=30)
-            tenants = pool.stats()["tenants"]
-            assert tenants["a"]["completed"] == 1
-            assert tenants["b"]["completed"] == 1
+    def test_queued_jobs_run_in_submission_order(self):
+        order: list[str] = []
+        with WorkerPool(max_workers=1, max_pending=16, name="t") as pool:
+            # Park the worker so every job below is queued before any runs.
+            blocker = pool.submit(_sleep_return, 0.3)
+            futs = [pool.submit(_tagged_sleep, 0.0, f"j{i}") for i in range(6)]
+            for fut in futs:
+                fut.add_done_callback(lambda f: order.append(f.result()))
+            blocker.result(timeout=30)
+            for fut in futs:
+                fut.result(timeout=30)
+        assert order == [f"j{i}" for i in range(6)]
 
 
 class TestAdmission:
@@ -132,54 +137,6 @@ class TestFailureModes:
                          WorkerCrashedError, PoolJobError,
                          PoolUnavailableError):
             assert issubclass(exc_type, PoolError)
-
-
-class TestFairness:
-    def test_hot_tenant_cannot_starve_a_cold_one(self):
-        """The starvation regression: round-robin interleaves tenants.
-
-        One worker, a hot tenant with a deep backlog queued first, then a
-        single cold-tenant job.  FIFO would run the cold job last;
-        fair-share runs it within the first couple of slots.
-        """
-        order: list[str] = []
-        with WorkerPool(max_workers=1, max_pending=64, name="t") as pool:
-            # Park the worker so the queue builds deterministically.
-            blocker = pool.submit(_sleep_return, 0.4)
-            hot = [
-                pool.submit(_tagged_sleep, 0.01, f"hot{i}", tenant="hot")
-                for i in range(6)
-            ]
-            cold = pool.submit(_tagged_sleep, 0.01, "cold", tenant="cold")
-            for fut in [*hot, cold]:
-                fut.add_done_callback(lambda f: order.append(f.result()))
-            blocker.result(timeout=30)
-            cold.result(timeout=30)
-            for fut in hot:
-                fut.result(timeout=30)
-        cold_pos = order.index("cold")
-        assert cold_pos <= 1, (
-            f"cold tenant ran at position {cold_pos} of {len(order)}: {order}"
-        )
-
-    def test_round_robin_across_three_tenants(self):
-        order: list[str] = []
-        with WorkerPool(max_workers=1, max_pending=64, name="t") as pool:
-            blocker = pool.submit(_sleep_return, 0.4)
-            futs = []
-            for i in range(3):
-                for tenant in ("a", "b", "c"):
-                    futs.append(pool.submit(
-                        _tagged_sleep, 0.0, f"{tenant}{i}", tenant=tenant))
-            for fut in futs:
-                fut.add_done_callback(lambda f: order.append(f.result()))
-            blocker.result(timeout=30)
-            for fut in futs:
-                fut.result(timeout=30)
-        # Every tenant appears once in each round-robin cycle of three.
-        for cycle in range(3):
-            chunk = {tag[0] for tag in order[cycle * 3:(cycle + 1) * 3]}
-            assert chunk == {"a", "b", "c"}, order
 
 
 class TestScaleDown:

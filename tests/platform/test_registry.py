@@ -1,4 +1,4 @@
-"""GraphPlatform contracts: quotas, LRU residency, admission, rebuild swaps."""
+"""GraphPlatform contracts: quotas, LRU residency, admission, mutations."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import pytest
 
 from repro.errors import QuotaExceededError, ServiceError
 from repro.graphs.generators.random_graphs import gnm_random_graph
-from repro.platform import GraphPlatform, TenantQuota
-from repro.platform.rebuild import rebuild_artifact_job
+from repro.mst.kruskal import kruskal
+from repro.platform import DEFAULT_QUOTA, GraphPlatform, TenantQuota
 
 
 class FakeClock:
@@ -31,7 +31,7 @@ class TestTenants:
         with GraphPlatform() as platform:
             platform.add_tenant("acme")
             assert platform.tenants() == ["acme"]
-            assert platform.tenant("acme").quota == platform.default_quota
+            assert platform.tenant("acme").quota == DEFAULT_QUOTA
             platform.remove_tenant("acme")
             assert platform.tenants() == []
 
@@ -164,74 +164,49 @@ class TestAdmission:
             assert platform.tenant("acme").inflight == 0
 
 
-class TestRebuildSwap:
-    """The complete_rebuild outcome matrix, driven without the scheduler."""
-
-    def _rebuilt(self, platform, tenant, name):
-        spec, version = platform.snapshot_for_rebuild(tenant, name)
-        return version, rebuild_artifact_job(spec)
-
-    def test_swapped_when_resident_and_current(self, g, tmp_path):
-        with GraphPlatform(tmp_path) as platform:
-            platform.add_tenant("acme")
-            platform.add_graph("acme", "g1", g)
-            version, artifact = self._rebuilt(platform, "acme", "g1")
-            out = platform.complete_rebuild("acme", "g1", version, artifact)
-            assert out == "swapped"
-            assert platform.entry("acme", "g1").rebuilds == 1
-
-    def test_persisted_when_evicted_mid_rebuild(self, g, tmp_path):
-        with GraphPlatform(tmp_path) as platform:
-            platform.add_tenant("acme")
-            platform.add_graph("acme", "g1", g)
-            version, artifact = self._rebuilt(platform, "acme", "g1")
-            entry = platform.entry("acme", "g1")
-            entry.service.invalidate()  # evicted while the solve ran
-            out = platform.complete_rebuild("acme", "g1", version, artifact)
-            assert out == "persisted"
-            # The persisted artifact loads warm on the next query.
-            assert platform.get_service("acme", "g1").total_weight() > 0
-
-    def test_stale_when_version_moved_on(self, g):
-        with GraphPlatform() as platform:
-            platform.add_tenant("acme")
-            platform.add_graph("acme", "g1", g)
-            version, artifact = self._rebuilt(platform, "acme", "g1")
-            out = platform.complete_rebuild("acme", "g1", version - 1, artifact)
-            assert out == "stale"
-            assert platform.entry("acme", "g1").rebuilds == 0
-
-    def test_discarded_when_graph_removed(self, g):
-        with GraphPlatform() as platform:
-            platform.add_tenant("acme")
-            platform.add_graph("acme", "g1", g)
-            version, artifact = self._rebuilt(platform, "acme", "g1")
-            platform.remove_graph("acme", "g1")
-            assert platform.complete_rebuild(
-                "acme", "g1", version, artifact) == "discarded"
-
-    def test_discarded_when_tenant_removed(self, g):
-        with GraphPlatform() as platform:
-            platform.add_tenant("acme")
-            platform.add_graph("acme", "g1", g)
-            version, artifact = self._rebuilt(platform, "acme", "g1")
-            platform.remove_tenant("acme")
-            assert platform.complete_rebuild(
-                "acme", "g1", version, artifact) == "discarded"
-
-
 class TestMutateEndToEnd:
-    def test_mutation_schedules_and_swaps_in_background(self, g, tmp_path):
-        """mutate -> dirty -> scheduler re-solves in a pool worker -> clean."""
-        with GraphPlatform(tmp_path, max_workers=1) as platform:
+    def test_mutation_is_served_at_once(self, g):
+        with GraphPlatform() as platform:
             platform.add_tenant("acme")
+            platform.add_graph("acme", "g1", g)
+            eid = platform.mutate("acme", "g1", "insert", 0, 59, 0.001)
+            assert isinstance(eid, int)
+            mutated = platform.entry("acme", "g1").graph
+            assert mutated.n_edges == g.n_edges + 1
+            assert 0.001 in mutated.edge_w[
+                ((mutated.edge_u == 0) & (mutated.edge_v == 59))
+                | ((mutated.edge_u == 59) & (mutated.edge_v == 0))
+            ]
+            # The repair sums the forest in weight order, Kruskal in edge-id
+            # order, so the totals may differ in their last bits only.
+            assert platform.get_service("acme", "g1").total_weight() == (
+                pytest.approx(kruskal(mutated).total_weight, rel=1e-12))
+
+    def test_mutated_entry_reloads_warm_after_eviction(self, g, tmp_path):
+        with GraphPlatform(tmp_path) as platform:
+            platform.add_tenant("acme", TenantQuota(resident_budget=1))
             platform.add_graph("acme", "g1", g)
             platform.mutate("acme", "g1", "insert", 0, 59, 0.001)
-            assert platform.scheduler.drain(timeout_s=60.0)
-            entry = platform.entry("acme", "g1")
-            assert not entry.dirty
-            assert entry.rebuilds == 1
-            assert platform.scheduler.stats()["swapped"] == 1
+            svc = platform.get_service("acme", "g1")
+            weight = svc.total_weight()
+            # Budget 1: registering g2 evicts g1, the least recently used.
+            platform.add_graph("acme", "g2", gnm_random_graph(40, 90, seed=5))
+            assert not platform.entry("acme", "g1").resident
+            before = svc.store.stats()
+            assert platform.get_service("acme", "g1").total_weight() == weight
+            after = svc.store.stats()
+            assert after["hits"] - before["hits"] == 1
+            assert after["misses"] == before["misses"]
+            assert svc.bottleneck(0, 59) == 0.001
+            assert platform.entry("acme", "g1").graph.n_edges == g.n_edges + 1
+
+    def test_sharded_entry_keeps_provenance_after_mutation(self, g):
+        with GraphPlatform() as platform:
+            platform.add_tenant("acme")
+            platform.add_graph("acme", "g1", g, shards=2)
+            platform.mutate("acme", "g1", "insert", 0, 59, 0.001)
+            artifact = platform.get_service("acme", "g1").artifact
+            assert (artifact.solver, artifact.shards) == ("sharded", 2)
 
     def test_mutation_rejected_for_problem_entries(self, g):
         with GraphPlatform() as platform:
