@@ -2,15 +2,15 @@
 
 Three layers:
 
-* artifact store — cold ``get_or_compute`` (solve + persist) vs warm
-  (deserialise the forest and its prebuilt index);
+* artifact store — cold ``get_or_compute`` (solve + persist) vs a warm
+  service start (read the stored forest, build its path-max index);
 * query engine — batched ``bottleneck_many`` vs the one-at-a-time
   scalar loop over the same pairs;
 * async front-end — coalesced concurrent queries through
   :class:`~repro.service.server.AsyncMSTService`.
 
-``tools/bench_service_report.py`` runs the same comparison at the ISSUE
-target size (100k-edge random graph) and writes ``BENCH_service.json``.
+``tools/bench_service_report.py`` runs the engine comparison on a
+100k-edge random graph and writes ``BENCH_service.json``.
 """
 
 from __future__ import annotations
@@ -64,13 +64,16 @@ def test_artifact_cold_load(benchmark, service_graph, tmp_path):
 
 def test_artifact_warm_load(benchmark, service_graph, tmp_path):
     benchmark.group = "service-artifact-load"
-    ArtifactStore(tmp_path).get_or_compute(service_graph)
+    MSTService(ArtifactStore(tmp_path)).load_graph(service_graph)
 
     def warm():
-        return ArtifactStore(tmp_path).get_or_compute(service_graph)
+        svc = MSTService(ArtifactStore(tmp_path))
+        svc.load_graph(service_graph)
+        svc.ensure_ready()
+        return svc
 
-    art, hit = benchmark(warm)
-    assert hit and art.index is not None
+    svc = benchmark(warm)
+    assert svc.store.stats() == {"hits": 1, "misses": 0, "corrupt_replaced": 0}
 
 
 # ----------------------------------------------------------------------

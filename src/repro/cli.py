@@ -682,7 +682,7 @@ def _cmd_mst(args: argparse.Namespace) -> int:
         from repro.service.artifacts import artifact_from_result, save_json_artifact
 
         artifact = artifact_from_result(
-            g, result, args.algo, args.mode, build_index=False,
+            g, result, args.algo, args.mode,
             solver="sharded" if args.shards > 0 else None, shards=args.shards,
         )
         save_json_artifact(artifact, args.save)

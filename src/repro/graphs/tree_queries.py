@@ -19,6 +19,22 @@ __all__ = ["ForestPathMax", "DISCONNECTED"]
 DISCONNECTED = -1  # sentinel returned for queries across components
 
 
+def _list_rank(G: np.ndarray) -> np.ndarray:
+    """Steps from each node to the end of its list (Wyllie list ranking).
+
+    ``G`` is a successor array whose lists end at self-loops.  Each sweep
+    is the paper's ``advance(j): G[j] := G[G[j]]`` over the whole array,
+    adding the skipped steps, until ``G`` reaches its fixed point.
+    """
+    dist = (G != np.arange(G.size)).astype(np.int64)
+    while True:
+        GG = G[G]
+        if np.array_equal(GG, G):
+            return dist
+        dist += dist[G]
+        G = GG
+
+
 class ForestPathMax:
     """Path-maximum oracle over a rank-weighted forest.
 
@@ -28,6 +44,10 @@ class ForestPathMax:
         Number of vertices.
     fu, fv, frank:
         Forest edges (must be acyclic) with integer rank weights.
+
+    Each tree is rooted at its least vertex, which ``comp`` reports as the
+    tree's label.  The build is whole-array pointer jumping: O(log n)
+    NumPy sweeps, no Python loop over vertices or edges.
     """
 
     def __init__(self, n: int, fu: np.ndarray, fv: np.ndarray, frank: np.ndarray) -> None:
@@ -38,54 +58,57 @@ class ForestPathMax:
             raise GraphError("forest edge arrays must have identical shape")
         if fu.size >= n and n > 0:
             raise GraphError("too many edges for a forest")
-        self.n = int(n)
-
-        # Build forest adjacency (counting sort).
+        n = self.n = int(n)
         m = fu.size
-        deg = np.zeros(n, dtype=np.int64)
-        if m:
-            np.add.at(deg, fu, 1)
-            np.add.at(deg, fv, 1)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        adj_v = np.empty(2 * m, dtype=np.int64)
-        adj_r = np.empty(2 * m, dtype=np.int64)
-        fill = indptr[:-1].copy()
-        for a, b, r in zip(fu, fv, frank):
-            adj_v[fill[a]] = b
-            adj_r[fill[a]] = r
-            fill[a] += 1
-            adj_v[fill[b]] = a
-            adj_r[fill[b]] = r
-            fill[b] += 1
+        if m and (min(fu.min(), fv.min()) < 0 or max(fu.max(), fv.max()) >= n):
+            raise GraphError("forest edge endpoint out of range")
+        vertices = np.arange(n, dtype=np.int64)
 
-        # Root every component; record parent, parent-edge rank, depth, comp.
-        parent = np.full(n, -1, dtype=np.int64)
-        pedge = np.full(n, -1, dtype=np.int64)
-        depth = np.zeros(n, dtype=np.int64)
-        comp = np.full(n, -1, dtype=np.int64)
-        visited = np.zeros(n, dtype=bool)
-        for root in range(n):
-            if visited[root]:
-                continue
-            visited[root] = True
-            comp[root] = root
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                for i in range(indptr[x], indptr[x + 1]):
-                    y = int(adj_v[i])
-                    if visited[y]:
-                        continue
-                    visited[y] = True
-                    parent[y] = x
-                    pedge[y] = adj_r[i]
-                    depth[y] = depth[x] + 1
-                    comp[y] = root
-                    stack.append(y)
-        # Detect cycles: a forest with m edges visits exactly m parent links.
-        if int((parent >= 0).sum()) != m:
+        # Euler tours: arc a < m runs fu[a] -> fv[a], arc a + m the reverse.
+        # Sorted by tail, the arcs form each vertex's cyclic arc list; the
+        # tour successor of x -> y is the arc after y -> x in y's list.
+        src = np.concatenate([fu, fv])
+        twin = np.concatenate([np.arange(m, 2 * m), np.arange(m)])
+        order = np.argsort(src)
+        deg = np.bincount(src, minlength=n)
+        start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(deg, out=start[1:])
+        has_arc = deg > 0
+        nxt = np.arange(1, 2 * m + 1)
+        nxt[start[1:][has_arc] - 1] = start[:-1][has_arc]
+        after = np.empty(2 * m, dtype=np.int64)
+        after[order] = order[nxt]
+        succ = after[twin]
+
+        # Each tour starts at its least arc in that sorted order: the first
+        # arc of its least vertex, the tree's root.  Min-doubling along the
+        # tour (G := G[G], ceil(log2 2m) sweeps) gives every arc the sorted
+        # position of that first arc (high bits) and the steps to it (low).
+        sweeps = max(2 * m - 1, 0).bit_length()
+        pos = np.empty(2 * m, dtype=np.int64)
+        pos[order] = np.arange(2 * m)
+        best = (pos[succ] << (sweeps + 1)) + 1
+        for k in range(sweeps):
+            best = np.minimum(best, best[succ] + (1 << k))
+            succ = succ[succ]
+        label = src[order][best >> (sweeps + 1)]
+        comp = vertices.copy()
+        comp[has_arc] = label[order[start[:-1][has_arc]]]
+        # A forest has n - m trees; a cycle only splits tours, so it leaves
+        # more self-labelled vertices than that.
+        if m != n - int(np.count_nonzero(comp == vertices)):
             raise GraphError("edge set contains a cycle; not a forest")
+
+        # The arc farther ahead of its tour's first arc comes earlier: it
+        # runs parent -> child.
+        ahead = best & ((2 << sweeps) - 1)
+        down = ahead[:m] > ahead[m:]
+        child = np.where(down, fv, fu)
+        parent = np.full(n, -1, dtype=np.int64)
+        parent[child] = np.where(down, fu, fv)
+        pedge = np.full(n, -1, dtype=np.int64)
+        pedge[child] = frank
+        depth = _list_rank(np.where(parent >= 0, parent, vertices))
 
         self.depth = depth
         self.comp = comp
@@ -108,54 +131,6 @@ class ForestPathMax:
         self._up = up
         self._mx = mx
         self._levels = levels
-
-    # ------------------------------------------------------------------
-    # Index persistence (the MSF artifact store snapshots the lifted
-    # tables so a warm service start skips the BFS + doubling build).
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_index(
-        cls,
-        n: int,
-        depth: np.ndarray,
-        comp: np.ndarray,
-        up: np.ndarray,
-        mx: np.ndarray,
-    ) -> "ForestPathMax":
-        """Rebuild an oracle from :meth:`index_arrays` output.
-
-        Skips the traversal and doubling-table construction entirely; the
-        arrays must come from a previously built oracle over the same
-        forest.  Shape mismatches raise :class:`~repro.errors.GraphError`.
-        """
-        depth = np.asarray(depth, dtype=np.int64)
-        comp = np.asarray(comp, dtype=np.int64)
-        up = np.asarray(up, dtype=np.int64)
-        mx = np.asarray(mx, dtype=np.int64)
-        n = int(n)
-        if depth.shape != (n,) or comp.shape != (n,):
-            raise GraphError("depth/comp arrays do not match vertex count")
-        if up.ndim != 2 or up.shape != mx.shape or up.shape[1] != n:
-            raise GraphError("lifting tables malformed")
-        if up.shape[0] < 1:
-            raise GraphError("lifting tables need at least one level")
-        self = cls.__new__(cls)
-        self.n = n
-        self.depth = depth
-        self.comp = comp
-        self._up = up
-        self._mx = mx
-        self._levels = int(up.shape[0])
-        return self
-
-    def index_arrays(self) -> dict[str, np.ndarray]:
-        """The prebuilt index as plain arrays (see :meth:`from_index`)."""
-        return {
-            "depth": self.depth,
-            "comp": self.comp,
-            "up": self._up,
-            "mx": self._mx,
-        }
 
     # ------------------------------------------------------------------
     @property

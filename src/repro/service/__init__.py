@@ -6,7 +6,7 @@ artifact behind a batched query front-end:
 
 * :mod:`repro.service.artifacts` — the one content-addressed artifact
   store, for MSFs and registered problems alike (SHA-256 of graph bytes +
-  solve recipe; ``.npz`` persistence, MSFs with a prebuilt query index;
+  solve recipe; ``.npz`` persistence, MSFs as the forest alone;
   portable MSF JSON dumps).
 * :mod:`repro.service.engine` — vectorized batch answers: connectivity,
   component id/size, forest weight, minimax-bottleneck paths, and

@@ -9,9 +9,9 @@ yields a new fingerprint — invalidation is structural, never a guess.
 
 Two artifact kinds share one store, one atomic writer and one reader:
 
-* :class:`MSFArtifact` — the forest edges *and* the prebuilt
-  :class:`~repro.graphs.tree_queries.ForestPathMax` binary-lifting index,
-  so a warm start deserialises straight into a query-ready engine;
+* :class:`MSFArtifact` — the forest edges alone; the
+  :class:`~repro.graphs.tree_queries.ForestPathMax` path-max index is
+  derived data, built from them whenever an engine serves the artifact;
   addressed by :func:`graph_fingerprint` (graph + algorithm/mode/solver);
 * :class:`ProblemArtifact` — one solved registered problem (SSSP
   distances + canonical parents, CC labels, ...), its arrays checked
@@ -27,7 +27,7 @@ its fingerprint, its payload layout, and its structural check: every
 an MST solve from a registered problem's.
 
 MSF artifacts also have a portable ``.json`` form (written by
-``repro mst --save``): forest edges only; the index is rebuilt on load.
+``repro mst --save``) with the same forest edges.
 
 Corrupted or version-incompatible files surface as
 :class:`~repro.errors.ServiceError`; :meth:`ArtifactStore.get_or_compute`
@@ -72,9 +72,11 @@ __all__ = [
 
 MST = "mst"
 # One layout version per kind.  MSF layout 2 added the shared ``problem``
-# header; the problem layout is unchanged since its introduction, so
-# problem files written before the stores merged still load warm.
-_FORMAT_VERSION = 2
+# header; layout 3 dropped the stored path-max index.  The problem layout
+# is unchanged since its introduction, so problem files written before
+# the stores merged (and before the writer stopped compressing) still
+# load warm.
+_FORMAT_VERSION = 3
 _PROBLEM_FORMAT_VERSION = 1
 _JSON_FORMAT = "repro-msf"
 _JSON_VERSION = 1
@@ -200,7 +202,6 @@ class MSFArtifact:
     msf_edge_ids: np.ndarray
     total_weight: float | int
     n_components: int
-    index: Optional[dict] = field(default=None, repr=False)
     # Execution provenance: which engine ran ``algorithm`` and at what
     # shard count (``solver="sharded"``, ``shards=4``).  ``None``/``0``
     # means the plain in-process path.
@@ -213,18 +214,12 @@ class MSFArtifact:
         return int(self.msf_u.size)
 
     def oracle(self) -> ForestPathMax:
-        """A query-ready path-max oracle over the forest's local ranks.
-
-        Deserialises the prebuilt index when present (warm path); falls
-        back to a fresh build from the forest edges otherwise.
-        """
-        if self.index is not None:
-            return ForestPathMax.from_index(self.n_vertices, **self.index)
+        """A query-ready path-max oracle over the forest's local ranks."""
         ranks = np.arange(self.msf_u.size, dtype=np.int64)
         return ForestPathMax(self.n_vertices, self.msf_u, self.msf_v, ranks)
 
     def _payload(self) -> dict:
-        payload = {
+        return {
             "algorithm": np.str_(self.algorithm),
             "n_components": np.int64(self.n_components),
             "solver": np.str_(self.solver or ""),
@@ -235,20 +230,10 @@ class MSFArtifact:
             "msf_v": self.msf_v,
             "msf_w": self.msf_w,
             "msf_edge_ids": self.msf_edge_ids,
-            "has_index": np.bool_(self.index is not None),
         }
-        for key, arr in (self.index or {}).items():
-            payload[f"index_{key}"] = arr
-        return payload
 
     @classmethod
     def _from_payload(cls, data, **header) -> "MSFArtifact":
-        index = None
-        if bool(data["has_index"]):
-            index = {
-                key: np.array(data[f"index_{key}"])
-                for key in ("depth", "comp", "up", "mx")
-            }
         return cls(
             **header,
             algorithm=str(data["algorithm"].item()),
@@ -259,7 +244,6 @@ class MSFArtifact:
             msf_edge_ids=np.array(data["msf_edge_ids"], dtype=np.int64),
             total_weight=np.asarray(data["total_weight"]).item(),
             n_components=int(data["n_components"]),
-            index=index,
             solver=str(data["solver"].item()) or None,
             shards=int(data["shards"]),
         )
@@ -351,7 +335,6 @@ def artifact_from_result(
     algorithm: str,
     mode: str | None = None,
     *,
-    build_index: bool = True,
     solver: str | None = None,
     shards: int = 0,
     fingerprint: str | None = None,
@@ -374,10 +357,6 @@ def artifact_from_result(
     fw = np.ascontiguousarray(g.edge_w[eids]).copy()
     int_w = fw.dtype.kind in "iu"
     total = int(fw.sum()) if int_w else float(result.total_weight)
-    index = None
-    if build_index:
-        local = np.arange(eids.size, dtype=np.int64)
-        index = ForestPathMax(g.n_vertices, fu, fv, local).index_arrays()
     return MSFArtifact(
         fingerprint=fingerprint
         or graph_fingerprint(g, algorithm, mode, solver=solver, shards=shards),
@@ -390,7 +369,6 @@ def artifact_from_result(
         msf_edge_ids=eids,
         total_weight=total,
         n_components=int(result.n_components),
-        index=index,
         solver=solver,
         shards=shards,
     )
@@ -477,7 +455,7 @@ def save_npz_artifact(artifact, path: str | Path) -> Path:
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **payload)
+            np.savez(fh, **payload)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -528,6 +506,10 @@ def load_npz_artifact(path: str | Path, expect_fingerprint: str | None = None):
         # decompressor and the header parser, not from zipfile.
         zlib.error,
         struct.error,
+        # A damaged member header can claim encryption, an unknown
+        # compression method or zip version: zipfile raises
+        # RuntimeError or its subclass NotImplementedError.
+        RuntimeError,
     ) as exc:
         raise ServiceError(f"corrupted artifact file {path}: {exc}") from exc
     artifact._validate(path)

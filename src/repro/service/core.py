@@ -21,7 +21,7 @@ Typical use::
     from repro.service import MSTService
 
     svc = MSTService("artifact-cache/", algorithm="llp-boruvka", mode="vectorized")
-    svc.load_graph(g)                    # cold: solve + persist; warm: mmap
+    svc.load_graph(g)                    # cold: solve + persist; warm: read
     svc.connected([0, 4, 9], [7, 2, 1])  # batched, vectorized
     svc.bottleneck(0, 12)                # scalars work too
     svc.insert_edge(3, 8, 0.25)          # incremental forest repair
@@ -37,14 +37,13 @@ import numpy as np
 
 from repro.errors import ServiceError, WeightError
 from repro.graphs.csr import CSRGraph
-from repro.graphs.tree_queries import ForestPathMax
+from repro.mst.base import result_from_edge_ids
 from repro.mst.dynamic import DynamicMSF
 from repro.obs.trace import span as _obs_span
 from repro.service.artifacts import (
     MST,
     ArtifactStore,
-    MSFArtifact,
-    graph_fingerprint,
+    artifact_from_result,
     load_json_artifact,
     load_npz_artifact,
     solve_artifact,
@@ -97,8 +96,9 @@ class ArtifactService:
 
         Without a store the solve always happens in process (the graceful
         no-persistence degradation); with one, a warm hit deserialises
-        the artifact (for MST, the forest and its prebuilt index) without
-        touching a solver.
+        the artifact without touching a solver.  Either way the engine is
+        built from the artifact (for MST, the path-max index from the
+        forest).
         """
         with _obs_span(
             "service:load_graph", "service", problem=self.problem,
@@ -333,32 +333,23 @@ class MSTService(ArtifactService):
         self.metrics.record_query("mutation", time.perf_counter() - t0)
 
     def _refresh_from_dynamic_inner(self) -> None:
-        """Rebuild the artifact, index, and engine from :attr:`_dyn`."""
-        dyn = self._dyn
-        fu, fv, fw, feids = dyn.forest_arrays()
-        local = np.arange(fu.size, dtype=np.int64)
-        index = ForestPathMax(dyn.n_vertices, fu, fv, local).index_arrays()
-        snapshot = dyn.snapshot()
-        self._graph = snapshot
-        solver = "sharded" if self.shards > 0 else None
-        artifact = MSFArtifact(
-            fingerprint=graph_fingerprint(
-                snapshot, self.algorithm, self.mode,
-                solver=solver, shards=self.shards,
-            ),
-            algorithm=self.algorithm,
-            mode=self.mode,
-            solver=solver,
+        """Package :attr:`_dyn`'s forest as the snapshot's artifact and serve it.
+
+        The artifact is the one a fresh solve of the snapshot stores (the
+        same forest when weights are distinct): edge ids, weight order
+        and total come from :func:`artifact_from_result` on the snapshot.
+        """
+        fu, fv, _, _ = self._dyn.forest_arrays()
+        snapshot = self._graph = self._dyn.snapshot()
+        # Snapshot edges are the lexsorted (u < v) pairs: one search maps
+        # the forest onto snapshot edge ids.
+        n = snapshot.n_vertices
+        keys = snapshot.edge_u * n + snapshot.edge_v
+        eids = np.searchsorted(keys, np.minimum(fu, fv) * n + np.maximum(fu, fv))
+        artifact = artifact_from_result(
+            snapshot, result_from_edge_ids(snapshot, eids), self.algorithm,
+            self.mode, solver="sharded" if self.shards > 0 else None,
             shards=self.shards,
-            n_vertices=dyn.n_vertices,
-            msf_u=fu,
-            msf_v=fv,
-            msf_w=fw,
-            msf_edge_ids=feids,
-            # A Python int for int64 weights (exact), a float otherwise.
-            total_weight=fw.sum().item(),
-            n_components=dyn.n_components,
-            index=index,
         )
         if self.store is not None:
             self.store.save(artifact)

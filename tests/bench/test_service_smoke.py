@@ -30,9 +30,6 @@ def test_bench_service_report_tiny_graph(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(target.read_text())
     assert report["graph"]["n_edges"] == 300
-    art = report["artifact"]
-    assert art["cold_load_seconds"] > 0 and art["warm_load_seconds"] > 0
-    assert art["warm_excludes_recompute"] is True
     q = report["bottleneck_queries"]
     assert q["loop"]["qps"] > 0 and q["batched"]["qps"] > 0
     assert q["answers_cross_checked"] == 100
@@ -45,6 +42,3 @@ def test_committed_bench_service_json():
     q = report["bottleneck_queries"]
     assert q["batched_speedup"] >= 10.0  # the ISSUE acceptance bar
     assert q["answers_cross_checked"] >= 1000
-    art = report["artifact"]
-    assert art["warm_load_seconds"] < art["cold_load_seconds"]
-    assert art["warm_excludes_recompute"] is True

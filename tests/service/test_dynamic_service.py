@@ -9,10 +9,11 @@ graph from scratch.
 import numpy as np
 import pytest
 
+from repro.checking.faults import _same_content
 from repro.errors import ServiceError
 from repro.graphs.generators import gnm_random_graph
 from repro.mst.kruskal import kruskal
-from repro.service.artifacts import ArtifactStore
+from repro.service.artifacts import ArtifactStore, solve_artifact
 from repro.service.core import MSTService
 
 # 24 cases: (n, m, seed); the sparse ones (m < n - 1) are disconnected.
@@ -125,6 +126,19 @@ def test_mutated_artifact_is_cached_for_next_load(tmp_path):
     other.load_graph(snapshot)
     assert other.metrics.artifact_hits >= 1
     assert other.total_weight() == pytest.approx(svc.total_weight())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mutated_artifact_is_the_fresh_solve_of_its_graph(tmp_path, seed):
+    """Edge ids, weight order and the total's last bits, field for field."""
+    svc = MSTService(ArtifactStore(tmp_path))
+    svc.load_graph(gnm_random_graph(200, 800, seed=seed))
+    u, v = svc.graph.edge_endpoints(0)
+    svc.delete_edge(int(u), int(v))
+    svc.insert_edge(0, 199, 0.001)
+    fresh = solve_artifact(svc.graph, "mst", "auto", algorithm="kruskal")
+    assert _same_content(svc.artifact, fresh)
+    assert np.array_equal(svc.graph.edge_u[svc.artifact.msf_edge_ids], fresh.msf_u)
 
 
 def test_offline_artifact_rejects_mutations(tmp_path):

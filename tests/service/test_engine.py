@@ -162,7 +162,7 @@ def test_empty_graph_engine():
 
 
 def test_warm_index_equals_fresh_build(tmp_path):
-    """Answers from a reloaded prebuilt index equal a from-scratch build."""
+    """Answers from a reloaded artifact equal those of the cold one."""
     from repro.service.artifacts import ArtifactStore
 
     g = gnm_random_graph(90, 180, seed=11)

@@ -3,13 +3,9 @@
 Run:  PYTHONPATH=src python tools/bench_service_report.py [output-path]
       [--n N] [--m M] [--seed S] [--queries Q] [--loop-queries L]
 
-On one G(n, m) random graph (default 33k vertices / 100k edges — the
-ISSUE target size) this measures:
+On one G(n, m) random graph (default 33k vertices / 100k edges) this
+measures:
 
-* **cold artifact load** — ``ArtifactStore.get_or_compute`` on an empty
-  store: MSF solve + index build + ``.npz`` persist;
-* **warm artifact load** — a fresh store instance over the same
-  directory: deserialise only, the MST registry is never invoked;
 * **one-at-a-time loop** — scalar ``MSTService.bottleneck(u, v)`` calls,
   timed over ``--loop-queries`` pairs;
 * **batched engine** — one ``bottleneck_many`` call over ``--queries``
@@ -17,9 +13,11 @@ ISSUE target size) this measures:
 
 The committed ``BENCH_service.json`` at the repo root is this script's
 output on the default arguments; its headline number is
-``batched_speedup`` = batched throughput / loop throughput (the ISSUE
+``batched_speedup`` = batched throughput / loop throughput (the
 acceptance bar is >= 10x).  Batched and loop answers are cross-checked
-for equality on the shared prefix before timing is trusted.
+for equality on the shared prefix before timing is trusted.  Cold and
+warm service starts are measured end to end by ``perfbench/``
+(``cold_s``/``warm_s``).
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import argparse
 import json
 import platform
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -38,7 +35,6 @@ import numpy as np
 
 from repro._version import __version__
 from repro.graphs.generators import gnm_random_graph
-from repro.service.artifacts import ArtifactStore
 from repro.service.core import MSTService
 
 
@@ -60,46 +56,32 @@ def main(argv: list[str] | None = None) -> int:
     us = rng.integers(0, args.n, args.queries)
     vs = rng.integers(0, args.n, args.queries)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        t0 = time.perf_counter()
-        store = ArtifactStore(tmp)
-        art, hit = store.get_or_compute(g)
-        cold_s = time.perf_counter() - t0
-        assert not hit, "store was supposed to be empty"
+    svc = MSTService()
+    svc.load_graph(g)
+    engine = svc.ensure_ready()
 
-        t0 = time.perf_counter()
-        warm_store = ArtifactStore(tmp)
-        art2, hit = warm_store.get_or_compute(g)
-        warm_s = time.perf_counter() - t0
-        assert hit, "second load was supposed to be a warm cache hit"
-        assert art2.fingerprint == art.fingerprint
+    # correctness first: batch and loop must agree on a shared prefix
+    k = min(args.loop_queries, args.queries)
+    batch_prefix = engine.bottleneck_many(us[:k], vs[:k])
+    for i in range(k):
+        got = svc.bottleneck(int(us[i]), int(vs[i]))
+        if got != batch_prefix[i] and not (
+            np.isinf(got) and np.isinf(batch_prefix[i])
+        ):
+            print(f"FATAL: loop/batch disagree at {i}: {got} vs "
+                  f"{batch_prefix[i]}", file=sys.stderr)
+            return 1
 
-        svc = MSTService(warm_store)
-        svc.load_graph(g)
-        engine = svc.ensure_ready()
+    t0 = time.perf_counter()
+    for i in range(k):
+        svc.bottleneck(int(us[i]), int(vs[i]))
+    loop_s = time.perf_counter() - t0
+    loop_qps = k / loop_s
 
-        # correctness first: batch and loop must agree on a shared prefix
-        k = min(args.loop_queries, args.queries)
-        batch_prefix = engine.bottleneck_many(us[:k], vs[:k])
-        for i in range(k):
-            got = svc.bottleneck(int(us[i]), int(vs[i]))
-            if got != batch_prefix[i] and not (
-                np.isinf(got) and np.isinf(batch_prefix[i])
-            ):
-                print(f"FATAL: loop/batch disagree at {i}: {got} vs "
-                      f"{batch_prefix[i]}", file=sys.stderr)
-                return 1
-
-        t0 = time.perf_counter()
-        for i in range(k):
-            svc.bottleneck(int(us[i]), int(vs[i]))
-        loop_s = time.perf_counter() - t0
-        loop_qps = k / loop_s
-
-        t0 = time.perf_counter()
-        engine.bottleneck_many(us, vs)
-        batch_s = time.perf_counter() - t0
-        batch_qps = args.queries / batch_s
+    t0 = time.perf_counter()
+    engine.bottleneck_many(us, vs)
+    batch_s = time.perf_counter() - t0
+    batch_qps = args.queries / batch_s
 
     speedup = batch_qps / loop_qps
     report = {
@@ -109,14 +91,6 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "repro_version": __version__,
-        "artifact": {
-            "cold_load_seconds": round(cold_s, 6),
-            "warm_load_seconds": round(warm_s, 6),
-            "warm_excludes_recompute": True,
-            "cold_over_warm": round(cold_s / warm_s, 2),
-            "n_forest_edges": art.n_forest_edges,
-            "n_components": art.n_components,
-        },
         "bottleneck_queries": {
             "loop": {"queries": k, "seconds": round(loop_s, 6),
                      "qps": round(loop_qps, 1)},
@@ -127,8 +101,6 @@ def main(argv: list[str] | None = None) -> int:
         },
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"cold load  {cold_s*1e3:9.2f} ms   warm load {warm_s*1e3:8.2f} ms   "
-          f"({cold_s/warm_s:.1f}x)")
     print(f"loop    {loop_qps:12.0f} q/s   batched {batch_qps:14.0f} q/s   "
           f"{speedup:8.1f}x")
     print(f"\n[written: {args.output}]")
