@@ -110,6 +110,6 @@ def test_forest_path_max_queries(benchmark):
     qs = np.random.default_rng(2).integers(0, n, size=(500, 2))
 
     def run():
-        return int(oracle.path_max_many(qs[:, 0], qs[:, 1]).sum())
+        return int(oracle.query_many(qs[:, 0], qs[:, 1]).sum())
 
     benchmark(run)

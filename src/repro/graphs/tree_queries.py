@@ -238,10 +238,6 @@ class ForestPathMax:
         out[active] = best
         return out
 
-    def path_max_many(self, qu: np.ndarray, qv: np.ndarray) -> np.ndarray:
-        """Vector form of :meth:`path_max` (alias of :meth:`query_many`)."""
-        return self.query_many(qu, qv)
-
     def connected_many(self, qu: np.ndarray, qv: np.ndarray) -> np.ndarray:
         """Batched :meth:`connected`: boolean array aligned with the inputs."""
         qu = np.asarray(qu, dtype=np.int64).ravel()

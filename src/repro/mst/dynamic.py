@@ -11,26 +11,40 @@ Reference semantics, exact at every step:
   splits its tree, and the lightest surviving edge across the split (cut
   property) is promoted, if any.
 
-Costs are O(n) per insert (tree path walk) and O(n + m) per delete
-(replacement scan) — the honest reference implementation, verified
-exhaustively against recomputation; the poly-log structures of Holm-de
-Lichtenberg-Thorup are out of scope.  Weights are totally ordered by
-``(weight, insertion sequence)``, the same endpoint-identity tie-break the
-static algorithms use, so the maintained forest always equals the static
-MSF of the live edges.  Weights keep the loaded graph's dtype: int64
-weights stay exact Python ints (float64 would tie distinct values beyond
-2**53 and break that order).
+The live edges are NumPy arrays in id order plus a forest mask; tree-path
+and cut questions go to a :class:`~repro.graphs.tree_queries.ForestPathMax`
+over the forest.  A write costs O(m) NumPy work (one slot appended or
+dropped, one mask over the live edges), an insert one O(log n) path
+query, and the first write after the forest changed one index build
+(O(n log n) pointer jumping); the poly-log structures of Holm-de
+Lichtenberg-Thorup are out of scope.
+
+Edges are totally ordered by ``(weight, min endpoint, max endpoint, id)``,
+the paper's unique weights made by "incorporating identities of its
+endpoints" (§V-A).  A :meth:`snapshot` numbers its edges in ``(u, v)``
+order, so there the key is the ``(weight, edge id)`` order
+:attr:`CSRGraph.ranks` gives every static solver, and the maintained
+forest is the static MSF of the live edges even under ties.  Weights keep
+the loaded graph's dtype: int64 weights stay exact (float64 would tie
+distinct values beyond 2**53 and break that order).
+
+:meth:`from_graph` starts from the forest the caller already holds.  A
+served graph whose edge ids are not in ``(u, v)`` order can only come
+from an ``.npz`` written out of order and read with ``dedup=False``;
+seeded from such a graph's forest, the repair stays minimum but may keep
+other tied edges than a fresh solve of the snapshot.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import GraphError, WeightError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.edgelist import EdgeList
+from repro.graphs.tree_queries import DISCONNECTED, ForestPathMax
 
 __all__ = ["DynamicMSF"]
 
@@ -42,32 +56,39 @@ class DynamicMSF:
         if n_vertices < 0:
             raise GraphError("n_vertices must be >= 0")
         self.n_vertices = int(n_vertices)
-        # edge store: id -> (u, v, w); alive edges only.  w is an exact
-        # Python scalar of _w_dtype (the loaded graph's; float64 if none).
-        self._edges: Dict[int, Tuple[int, int, float]] = {}
-        self._w_dtype = np.dtype(np.float64)
+        # Live edges by ascending id, endpoints as inserted; weights in the
+        # loaded graph's dtype (float64 if none).  _tree marks the forest.
+        self._ids = np.empty(0, dtype=np.int64)
+        self._u = np.empty(0, dtype=np.int64)
+        self._v = np.empty(0, dtype=np.int64)
+        self._w = np.empty(0, dtype=np.float64)
+        self._tree = np.empty(0, dtype=bool)
         self._next_id = 0
-        self._tree: Set[int] = set()  # ids of forest edges
-        # forest adjacency: vertex -> {neighbor: edge id}
-        self._adj: List[Dict[int, int]] = [dict() for _ in range(self.n_vertices)]
+        # Path-max index over the forest in key order and the forest's ids
+        # by rank; None once the forest changed.
+        self._index: Optional[Tuple[ForestPathMax, np.ndarray]] = None
 
     @classmethod
-    def from_graph(cls, g: CSRGraph) -> "DynamicMSF":
-        """Load a static graph; dynamic edge ids equal the graph's edge ids.
+    def from_graph(cls, g: CSRGraph, forest_edge_ids) -> "DynamicMSF":
+        """Load ``g`` with its MSF; dynamic edge ids equal the graph's edge ids.
 
-        Seeds the forest with a precomputed MSF (one Kruskal run) instead
-        of n insert-path walks, so loading is O(m α + n).
+        ``forest_edge_ids`` names a minimum spanning forest of ``g`` (a
+        served artifact's ``msf_edge_ids``), so no solver runs.  Ids out of
+        range, or edges that are not a spanning forest of ``g``, raise
+        :class:`~repro.errors.GraphError`.
         """
-        from repro.mst.kruskal import kruskal
-
+        fids = np.asarray(forest_edge_ids, dtype=np.int64)
+        if fids.size and (fids.min() < 0 or fids.max() >= g.n_edges):
+            raise GraphError("forest edge id out of range")
         msf = cls(g.n_vertices)
-        msf._w_dtype = g.edge_w.dtype
-        msf._edges = dict(enumerate(zip(
-            g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()
-        )))
-        msf._next_id = len(msf._edges)
-        for eid in kruskal(g).edge_ids:
-            msf._link(int(eid))
+        msf._next_id = g.n_edges
+        msf._ids = np.arange(g.n_edges, dtype=np.int64)
+        msf._u, msf._v, msf._w = g.edge_u, g.edge_v, g.edge_w
+        msf._tree = np.zeros(g.n_edges, dtype=bool)
+        msf._tree[fids] = True
+        comp = msf._path_index()[0].comp  # raises on a cycle
+        if (comp[msf._u] != comp[msf._v]).any():
+            raise GraphError("forest does not span the graph")
         return msf
 
     # ------------------------------------------------------------------
@@ -76,69 +97,69 @@ class DynamicMSF:
     @property
     def n_edges(self) -> int:
         """Number of live edges."""
-        return len(self._edges)
+        return int(self._ids.size)
 
     @property
     def n_tree_edges(self) -> int:
         """Number of forest edges."""
-        return len(self._tree)
+        return int(np.count_nonzero(self._tree))
 
     @property
     def n_components(self) -> int:
         """Number of trees in the maintained forest."""
-        return self.n_vertices - len(self._tree)
+        return self.n_vertices - self.n_tree_edges
 
     def total_weight(self) -> float:
-        """Weight of the maintained forest."""
-        return sum(self._edges[e][2] for e in self._tree)
+        """Weight of the maintained forest (exact for int64 weights)."""
+        return sum(self._w[self._tree].tolist())
 
     def tree_edges(self) -> List[Tuple[int, int, float]]:
         """The forest as sorted ``(u, v, w)`` triples."""
-        return sorted(
-            (min(u, v), max(u, v), w)
-            for u, v, w in (self._edges[e] for e in self._tree)
-        )
+        u, v = self._u[self._tree], self._v[self._tree]
+        return sorted(zip(
+            np.minimum(u, v).tolist(), np.maximum(u, v).tolist(),
+            self._w[self._tree].tolist(),
+        ))
 
     def connected(self, u: int, v: int) -> bool:
         """True when ``u`` and ``v`` are in the same tree."""
         self._check_vertex(u)
         self._check_vertex(v)
-        return self._tree_path(u, v) is not None if u != v else True
+        comp = self._path_index()[0].comp
+        return bool(comp[u] == comp[v])
 
     def forest_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Forest edges as ``(u, v, w, edge_id)`` arrays in weight order.
+        """Forest edges as ``(u, v, w, edge_id)`` arrays in key order.
 
-        Sorted by the ``(weight, insertion id)`` total order the forest is
-        maintained under, so position doubles as the forest-local rank —
-        the layout the MSF query service's artifacts use directly.
+        Sorted by the ``(weight, min endpoint, max endpoint, id)`` key the
+        forest is maintained under, so position doubles as the
+        forest-local rank — the layout the MSF query service's artifacts
+        use directly.
         """
-        ids = sorted(self._tree, key=self._key)
-        u = np.array([self._edges[e][0] for e in ids], dtype=np.int64)
-        v = np.array([self._edges[e][1] for e in ids], dtype=np.int64)
-        w = np.array([self._edges[e][2] for e in ids], dtype=self._w_dtype)
-        return u, v, w, np.array(ids, dtype=np.int64)
+        f = self._forest()
+        return self._u[f], self._v[f], self._w[f], self._ids[f]
 
     def find_edge(self, u: int, v: int, w: float | None = None) -> int | None:
         """Id of a live edge with endpoints ``{u, v}`` (and weight ``w``).
 
-        Among multiple matches the smallest ``(weight, id)`` key wins;
-        ``None`` when no live edge matches.
+        Among multiple matches the smallest key wins; ``None`` when no
+        live edge matches.
         """
         self._check_vertex(u)
         self._check_vertex(v)
-        ends = {u, v}
-        best = None
-        for eid, (a, b, ew) in self._edges.items():
-            if {a, b} != ends:
-                continue
-            if w is not None and ew != w:
-                continue
-            if best is None or self._key(eid) < self._key(best):
-                best = eid
-        return best
+        match = ((self._u == u) & (self._v == v)) | ((self._u == v) & (self._v == u))
+        if w is not None:
+            try:
+                match &= self._w == self._exact_weight(w)
+            except WeightError:
+                return None  # the dtype cannot hold w, so no live weight equals it
+        pos = np.flatnonzero(match)
+        return int(self._ids[pos[self._order(pos)[0]]]) if pos.size else None
 
     def __iter__(self) -> Iterator[Tuple[int, Tuple[int, int, float]]]:
-        return iter(sorted(self._edges.items()))
+        return zip(self._ids.tolist(), zip(
+            self._u.tolist(), self._v.tolist(), self._w.tolist()
+        ))
 
     # ------------------------------------------------------------------
     # Mutation
@@ -156,44 +177,44 @@ class DynamicMSF:
             raise GraphError("self loops are not allowed")
         if not np.isfinite(w):
             raise GraphError("weight must be finite")
-        w = self._exact_weight(w)
+        u, v, w = int(u), int(v), self._exact_weight(w)
+        index, forest_ids = self._path_index()
+        rank = index.path_max(u, v)
         eid = self._next_id
         self._next_id += 1
-        self._edges[eid] = (int(u), int(v), w)
-
-        path = self._tree_path(u, v)
-        if path is None:
-            self._link(eid)  # joins two trees
-            return eid
-        # Same tree: replace the heaviest path edge if the new one is
-        # lighter (ties break toward the earlier-inserted edge).
-        heaviest = max(path, key=lambda e: self._key(e))
-        if self._key(eid) < self._key(heaviest):
-            self._cut(heaviest)
-            self._link(eid)
+        self._ids = np.append(self._ids, eid)
+        self._u = np.append(self._u, u)
+        self._v = np.append(self._v, v)
+        self._w = np.append(self._w, self._w.dtype.type(w))
+        self._tree = np.append(self._tree, rank == DISCONNECTED)  # joins two trees
+        if rank != DISCONNECTED:
+            # Same tree: the new edge replaces the path's key-greatest edge
+            # when its own key is smaller.
+            p = self._position(int(forest_ids[rank]))
+            if self._order(np.array([p, -1]))[0] == 0:
+                return eid
+            self._tree[p] = False
+            self._tree[-1] = True
+        self._index = None
         return eid
 
     def delete_edge(self, eid: int) -> None:
         """Remove an edge by id, repairing the forest if needed."""
-        if eid not in self._edges:
-            raise GraphError(f"edge {eid} does not exist")
-        was_tree = eid in self._tree
-        if was_tree:
-            self._cut(eid)
-        u, v, _ = self._edges.pop(eid)
+        p = self._position(eid)
+        was_tree = self._tree[p]
+        self._ids, self._u, self._v, self._w, self._tree = (
+            np.delete(a, p) for a in (self._ids, self._u, self._v, self._w, self._tree)
+        )
         if not was_tree:
             return
-        # Find the lightest live edge reconnecting the two halves.
-        side = self._component_of(u)
-        best = None
-        for cand, (a, b, _) in self._edges.items():
-            if cand in self._tree:
-                continue
-            if (a in side) != (b in side):
-                if best is None or self._key(cand) < self._key(best):
-                    best = cand
-        if best is not None:
-            self._link(best)
+        # In the forest without it, the two halves are the only trees a
+        # live non-tree edge can join: promote the key-least such edge.
+        self._index = None
+        comp = self._path_index()[0].comp
+        cross = np.flatnonzero(~self._tree & (comp[self._u] != comp[self._v]))
+        if cross.size:
+            self._tree[cross[self._order(cross)[0]]] = True
+            self._index = None
 
     # ------------------------------------------------------------------
     # Export / verification hooks
@@ -204,11 +225,9 @@ class DynamicMSF:
         Parallel edges are collapsed to their minimum (CSR canonical
         form), matching how the static algorithms would see this graph.
         """
-        items = sorted(self._edges.items())
-        u = np.array([e[1][0] for e in items], dtype=np.int64)
-        v = np.array([e[1][1] for e in items], dtype=np.int64)
-        w = np.array([e[1][2] for e in items], dtype=self._w_dtype)
-        return CSRGraph.from_edgelist(EdgeList.from_arrays(self.n_vertices, u, v, w))
+        return CSRGraph.from_edgelist(
+            EdgeList.from_arrays(self.n_vertices, self._u, self._v, self._w)
+        )
 
     # ------------------------------------------------------------------
     # Internals
@@ -218,66 +237,43 @@ class DynamicMSF:
         if isinstance(w, np.generic):
             w = w.item()  # compare as Python numbers: exact across int/float
         try:
-            cast = self._w_dtype.type(w).item()
+            cast = self._w.dtype.type(w).item()
         except (OverflowError, TypeError, ValueError):
             cast = None
         if cast is None or cast != w:
             raise WeightError(
-                f"weight {w!r} is not exactly representable as {self._w_dtype}"
+                f"weight {w!r} is not exactly representable as {self._w.dtype}"
             )
         return cast
 
-    def _key(self, eid: int) -> Tuple[float, int]:
-        # weight with insertion-order tie-break: a strict total order
-        return (self._edges[eid][2], eid)
+    def _order(self, pos: np.ndarray) -> np.ndarray:
+        """Argsort of the live positions ``pos`` by the one edge key."""
+        u, v = self._u[pos], self._v[pos]
+        return np.lexsort(
+            (self._ids[pos], np.maximum(u, v), np.minimum(u, v), self._w[pos])
+        )
+
+    def _forest(self) -> np.ndarray:
+        """Live positions of the forest edges in key order."""
+        f = np.flatnonzero(self._tree)
+        return f[self._order(f)]
+
+    def _path_index(self) -> Tuple[ForestPathMax, np.ndarray]:
+        """The forest's path-max index (ranks in key order), built on demand."""
+        if self._index is None:
+            f = self._forest()
+            self._index = (
+                ForestPathMax(self.n_vertices, self._u[f], self._v[f], np.arange(f.size)),
+                self._ids[f],
+            )
+        return self._index
+
+    def _position(self, eid: int) -> int:
+        p = int(np.searchsorted(self._ids, eid))
+        if p == self._ids.size or self._ids[p] != eid:
+            raise GraphError(f"edge {eid} does not exist")
+        return p
 
     def _check_vertex(self, x: int) -> None:
         if not (0 <= x < self.n_vertices):
             raise GraphError(f"vertex {x} out of range")
-
-    def _link(self, eid: int) -> None:
-        u, v, _ = self._edges[eid]
-        self._tree.add(eid)
-        self._adj[u][v] = eid
-        self._adj[v][u] = eid
-
-    def _cut(self, eid: int) -> None:
-        u, v, _ = self._edges[eid]
-        self._tree.discard(eid)
-        self._adj[u].pop(v, None)
-        self._adj[v].pop(u, None)
-
-    def _tree_path(self, u: int, v: int) -> List[int] | None:
-        """Edge ids on the forest path ``u .. v`` (None when disconnected)."""
-        if u == v:
-            return []
-        parent: Dict[int, Tuple[int, int]] = {u: (-1, -1)}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y, eid in self._adj[x].items():
-                if y in parent:
-                    continue
-                parent[y] = (x, eid)
-                if y == v:
-                    path = []
-                    cur = v
-                    while cur != u:
-                        px, pe = parent[cur]
-                        path.append(pe)
-                        cur = px
-                    return path
-                stack.append(y)
-        return None
-
-    def _component_of(self, u: int) -> Set[int]:
-        """Vertices in ``u``'s tree."""
-        seen = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y in self._adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen

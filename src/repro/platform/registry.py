@@ -146,18 +146,19 @@ class GraphPlatform:
     # ------------------------------------------------------------------
     @property
     def pool(self) -> WorkerPool:
-        """The shared worker pool, created lazily on first use."""
+        """The shared worker pool, created lazily on first use.
+
+        After :meth:`close` it is the closed pool, which refuses jobs.
+        """
         with self._lock:
             if self._pool is None:
                 self._pool = WorkerPool(name="platform")
             return self._pool
 
     def close(self) -> None:
-        """Stop the worker pool."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
+        """Stop the worker pool; its counters stay readable for metrics."""
+        if self._pool is not None:
+            self._pool.close()
 
     def __enter__(self) -> "GraphPlatform":
         return self

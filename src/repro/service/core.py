@@ -290,17 +290,18 @@ class MSTService(ArtifactService):
                 "mutations need the full edge set; load a graph (not an offline artifact)"
             )
         if self._dyn is None:
-            self._dyn = DynamicMSF.from_graph(self._graph)
+            # Seeded with the served forest: no mutation runs a solver.
+            self._dyn = DynamicMSF.from_graph(self._graph, self.artifact.msf_edge_ids)
         return self._dyn
 
     def insert_edge(self, u: int, v: int, w: float) -> int:
         """Insert an edge; the forest and index update incrementally.
 
         Returns the edge's id in the dynamic edge store.  The maintained
-        forest is repaired in O(n) (cycle property swap) and only the
-        query index is rebuilt — the MSF is never re-solved.  ``w`` keeps
-        the graph's weight dtype; a weight that dtype cannot hold exactly
-        raises :class:`~repro.errors.ServiceError`.
+        forest is repaired by one path-max query (cycle property swap)
+        and only the query index is rebuilt — the MSF is never re-solved.
+        ``w`` keeps the graph's weight dtype; a weight that dtype cannot
+        hold exactly raises :class:`~repro.errors.ServiceError`.
         """
         dyn = self._require_dynamic()
         try:
@@ -326,34 +327,31 @@ class MSTService(ArtifactService):
         self._refresh_from_dynamic()
 
     def _refresh_from_dynamic(self) -> None:
-        """Rebuild engine + artifact from the maintained forest (no solve)."""
-        t0 = time.perf_counter()
-        with _obs_span("service:mutation", "service"):
-            self._refresh_from_dynamic_inner()
-        self.metrics.record_query("mutation", time.perf_counter() - t0)
-
-    def _refresh_from_dynamic_inner(self) -> None:
         """Package :attr:`_dyn`'s forest as the snapshot's artifact and serve it.
 
-        The artifact is the one a fresh solve of the snapshot stores (the
-        same forest when weights are distinct): edge ids, weight order
-        and total come from :func:`artifact_from_result` on the snapshot.
+        No solve: the repaired forest is the snapshot's MSF under the
+        ``(weight, edge id)`` order every solver uses, and
+        :func:`artifact_from_result` on the snapshot packages it exactly
+        as a fresh solve does (edge ids, weight order, total).
         """
-        fu, fv, _, _ = self._dyn.forest_arrays()
-        snapshot = self._graph = self._dyn.snapshot()
-        # Snapshot edges are the lexsorted (u < v) pairs: one search maps
-        # the forest onto snapshot edge ids.
-        n = snapshot.n_vertices
-        keys = snapshot.edge_u * n + snapshot.edge_v
-        eids = np.searchsorted(keys, np.minimum(fu, fv) * n + np.maximum(fu, fv))
-        artifact = artifact_from_result(
-            snapshot, result_from_edge_ids(snapshot, eids), self.algorithm,
-            self.mode, solver="sharded" if self.shards > 0 else None,
-            shards=self.shards,
-        )
-        if self.store is not None:
-            self.store.save(artifact)
-        self._engine = QueryEngine(artifact, backend=self.backend)
+        t0 = time.perf_counter()
+        with _obs_span("service:mutation", "service"):
+            fu, fv, _, _ = self._dyn.forest_arrays()
+            snapshot = self._graph = self._dyn.snapshot()
+            # Snapshot edges are the lexsorted (u < v) pairs: one search maps
+            # the forest onto snapshot edge ids.
+            n = snapshot.n_vertices
+            keys = snapshot.edge_u * n + snapshot.edge_v
+            eids = np.searchsorted(keys, np.minimum(fu, fv) * n + np.maximum(fu, fv))
+            artifact = artifact_from_result(
+                snapshot, result_from_edge_ids(snapshot, eids), self.algorithm,
+                self.mode, solver="sharded" if self.shards > 0 else None,
+                shards=self.shards,
+            )
+            if self.store is not None:
+                self.store.save(artifact)
+            self._engine = QueryEngine(artifact, backend=self.backend)
+        self.metrics.record_query("mutation", time.perf_counter() - t0)
 
     # ------------------------------------------------------------------
     def save_artifact_json(self, path: str | Path) -> None:

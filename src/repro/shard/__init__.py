@@ -39,7 +39,7 @@ from repro.shard.partition import (
     shard_assignment,
     shard_edge_ids,
 )
-from repro.shard.worker import ShardFault, ShardTask, solve_shard_local, worker_main
+from repro.shard.worker import ShardFault, ShardTask, solve_shard_local
 
 __all__ = [
     "sharded_mst",
@@ -63,5 +63,4 @@ __all__ = [
     "ShardFault",
     "ShardTask",
     "solve_shard_local",
-    "worker_main",
 ]

@@ -41,7 +41,6 @@ __all__ = [
     "ShardTask",
     "solve_shard_local",
     "run_shard_task",
-    "worker_main",
 ]
 
 # Above this arena edge count a worker evaluates its shard membership in
@@ -250,30 +249,3 @@ def run_shard_task(task: ShardTask):
                 shm.close()
             except Exception:  # pragma: no cover - defensive
                 pass
-
-
-def worker_main(conn, task: ShardTask) -> None:
-    """One-shot worker process entry point: solve own shard, reply, exit.
-
-    Sends ``("ok", edge_ids, seconds)`` — with a fourth span-payload
-    element when ``task.traced`` — or ``("error", repr)`` over ``conn``.
-    Kept for callers that spawn dedicated per-shard processes; the
-    coordinator now routes shard attempts through the shared worker pool
-    via :func:`run_shard_task` instead.
-    """
-    try:
-        forest, seconds, payload = run_shard_task(task)
-        reply = ("ok", forest, seconds)
-        if payload is not None:
-            reply = reply + (payload,)
-        conn.send(reply)
-    except Exception as exc:  # surface as data; the coordinator decides
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:  # pragma: no cover - defensive
-            pass

@@ -113,7 +113,7 @@ def test_matches_brute_force_on_random_forests(seed):
 
 def test_path_max_many():
     o = ForestPathMax(4, [0, 1, 2], [1, 2, 3], [5, 2, 9])
-    out = o.path_max_many([0, 1, 0], [3, 2, 0])
+    out = o.query_many([0, 1, 0], [3, 2, 0])
     assert out.tolist() == [9, 2, -1]
 
 

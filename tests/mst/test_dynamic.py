@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError
@@ -12,6 +12,13 @@ from repro.mst.kruskal import kruskal
 
 def _static_weight(d: DynamicMSF) -> float:
     return kruskal(d.snapshot()).total_weight
+
+
+def _static_forest(d: DynamicMSF) -> list:
+    """Kruskal's forest of the snapshot as sorted ``(u, v, w)`` triples."""
+    g = d.snapshot()
+    ids = kruskal(g).edge_ids
+    return sorted(zip(g.edge_u[ids].tolist(), g.edge_v[ids].tolist(), g.edge_w[ids].tolist()))
 
 
 def test_insert_builds_tree():
@@ -122,9 +129,12 @@ def test_snapshot_collapses_parallel_edges():
         max_size=60,
     )
 )
+# The 6th-8th inserts draw weight 0: a tied triangle inserted out of (u, v) order.
+@example(ops=[(5, 6, 1), (6, 7, 1), (7, 8, 1), (8, 9, 1), (4, 5, 1),
+              (1, 2, 1), (0, 1, 1), (0, 2, 1)])
 @settings(max_examples=40, deadline=None)
 def test_matches_recompute_under_random_ops(ops):
-    """Random insert/delete stream: maintained weight == static MSF weight."""
+    """Random insert/delete stream: the maintained forest is Kruskal's, ties included."""
     n = 10
     d = DynamicMSF(n)
     live: list[int] = []
@@ -135,10 +145,11 @@ def test_matches_recompute_under_random_ops(ops):
             eid = live.pop((a * 7 + b) % len(live))
             d.delete_edge(eid)
         elif a != b:
-            w = float(rng.integers(0, 50))  # deliberate ties
+            w = float(rng.integers(0, 5))  # deliberate ties
             live.append(d.insert_edge(a, b, w))
         # invariant: maintained forest weight equals the static optimum
         assert d.total_weight() == pytest.approx(_static_weight(d))
+        assert d.tree_edges() == _static_forest(d)
         assert d.n_components == n - d.n_tree_edges
 
 
@@ -163,7 +174,7 @@ def test_from_graph_matches_incremental_load():
     from repro.mst.dynamic import DynamicMSF
 
     g = road_network(7, 8, seed=11)
-    fast = DynamicMSF.from_graph(g)
+    fast = DynamicMSF.from_graph(g, kruskal(g).edge_ids)
     slow = DynamicMSF(g.n_vertices)
     for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w):
         slow.insert_edge(int(u), int(v), float(w))
@@ -177,8 +188,20 @@ def test_from_graph_then_mutate():
     from repro.mst.dynamic import DynamicMSF
 
     g = grid_graph(4, 4, seed=12)
-    d = DynamicMSF.from_graph(g)
+    d = DynamicMSF.from_graph(g, kruskal(g).edge_ids)
     # delete a tree edge: the forest must repair itself exactly
     tree_edge = int(kruskal(g).edge_ids[0])
     d.delete_edge(tree_edge)
     assert d.total_weight() == pytest.approx(_static_weight(d))
+
+
+def test_from_graph_rejects_a_bad_forest():
+    from repro.graphs.builder import from_edges
+
+    # triangle 0-1-2 (edge ids 0, 1, 2 in (u, v) order) plus edge 3-4
+    g = from_edges([(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0), (3, 4, 1.0)])
+    assert DynamicMSF.from_graph(g, [0, 1, 3]).total_weight() == pytest.approx(4.0)
+    for ids in ([0, 1, 4], [-1, 0, 3], [0, 1, 2, 3], [0, 1]):
+        # out of range, out of range, a cycle, not spanning
+        with pytest.raises(GraphError):
+            DynamicMSF.from_graph(g, ids)

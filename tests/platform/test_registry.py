@@ -237,3 +237,12 @@ class TestIntrospection:
             assert providers["platform.pool"]() == {}  # pool never spawned
             snapshot = providers["platform.tenant.acme"]()
             assert isinstance(snapshot, dict)
+
+    def test_pool_counters_outlive_close(self):
+        with GraphPlatform() as platform:
+            provider = platform.metrics_providers()["platform.pool"]
+            assert platform.pool.submit(abs, -2).result(timeout=30) == 2
+        # A serve session snapshots its providers after the platform closed.
+        stats = provider()
+        assert stats["submitted"] == stats["completed"] == 1
+        assert stats["live_workers"] == 0

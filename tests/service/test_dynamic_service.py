@@ -141,6 +141,49 @@ def test_mutated_artifact_is_the_fresh_solve_of_its_graph(tmp_path, seed):
     assert np.array_equal(svc.graph.edge_u[svc.artifact.msf_edge_ids], fresh.msf_u)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_mutated_artifact_is_the_fresh_solve_under_ties(tmp_path, seed):
+    """With every weight tied the repair keeps the fresh solve's forest."""
+    from repro.graphs.csr import CSRGraph
+    from repro.graphs.edgelist import EdgeList
+
+    g = gnm_random_graph(60, 200, seed=seed)
+    svc = MSTService(ArtifactStore(tmp_path))
+    svc.load_graph(CSRGraph.from_edgelist(EdgeList.from_arrays(
+        g.n_vertices, g.edge_u, g.edge_v, np.ones(g.n_edges)
+    )))
+    u, v = svc.graph.edge_endpoints(0)
+    svc.delete_edge(int(u), int(v))
+    svc.insert_edge(0, 59, 1.0)
+    fresh = solve_artifact(svc.graph, "mst", "auto", algorithm="kruskal")
+    assert _same_content(svc.artifact, fresh)
+    assert np.array_equal(svc.artifact.msf_edge_ids, fresh.msf_edge_ids)
+
+
+@pytest.mark.parametrize("op", ["insert", "delete"])
+def test_mutations_run_no_solver(tmp_path, monkeypatch, op):
+    """The first mutation seeds its repair from the served artifact."""
+    import importlib
+
+    svc = MSTService(ArtifactStore(tmp_path))
+    svc.load_graph(gnm_random_graph(50, 150, seed=7))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a mutation ran a solver")
+
+    for module, name in (("repro.mst.kruskal", "kruskal"),
+                         ("repro.mst.registry", "get_algorithm")):
+        monkeypatch.setattr(importlib.import_module(module), name, no_solve)
+    if op == "insert":
+        svc.insert_edge(0, 49, 0.001)
+    else:
+        u, v = svc.graph.edge_endpoints(0)
+        svc.delete_edge(int(u), int(v))
+    served = svc.total_weight()
+    monkeypatch.undo()
+    assert served == pytest.approx(kruskal(svc.graph).total_weight)
+
+
 def test_offline_artifact_rejects_mutations(tmp_path):
     g = gnm_random_graph(20, 40, seed=8)
     svc = MSTService(ArtifactStore(tmp_path / "a"))
