@@ -69,7 +69,10 @@ def test_sharded_solve(benchmark, shard_graph, n_shards, executor):
     assert result.n_edges == g.n_vertices - 1
 
 
-@pytest.mark.parametrize("name,mode", [("kruskal", None), ("boruvka", "vectorized")])
+@pytest.mark.parametrize("name,mode", [
+    ("kruskal", None), ("boruvka", "vectorized"),
+    ("parallel-boruvka", "vectorized"), ("llp-boruvka", "vectorized"),
+])
 def test_single_process_baseline(benchmark, shard_graph, name, mode):
     benchmark.group = "shard-solve"
     algo = get_algorithm(name, mode=mode)

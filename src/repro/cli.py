@@ -82,6 +82,8 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for tests)."""
+    from repro.mst.registry import DEFAULT_ALGORITHM
+
     parser = argparse.ArgumentParser(
         prog="repro-mst",
         description="Reproduction of 'Parallel MST via Lattice Linear Predicate Detection'",
@@ -196,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="graph file (.gr/.mtx/.tsv/.npz)")
     queryp.add_argument("--store", type=Path, default=None,
                         help="artifact-store directory (compute-once cache)")
-    queryp.add_argument("--algo", default="kruskal", help="algorithm for cache misses")
+    queryp.add_argument("--algo", default=DEFAULT_ALGORITHM,
+                        help="algorithm for cache misses")
     queryp.add_argument("--mode", choices=("loop", "vectorized", "auto"),
                         default="auto")
     queryp.add_argument("--shards", type=int, default=0, metavar="N",
@@ -235,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="graph file (.gr/.mtx/.tsv/.npz)")
     servep.add_argument("--scale", type=int, default=None)
     servep.add_argument("--seed", type=int, default=0)
-    servep.add_argument("--algo", default="kruskal")
+    servep.add_argument("--algo", default=DEFAULT_ALGORITHM)
     servep.add_argument("--mode", choices=("loop", "vectorized", "auto"),
                         default="auto")
     servep.add_argument("--store", type=Path, default=None,
@@ -300,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="what to solve and serve (mst, sssp, cc)")
     tgraph.add_argument("--source", type=int, default=0,
                         help="with --problem sssp: the solve source vertex")
-    tgraph.add_argument("--algo", default="kruskal",
+    tgraph.add_argument("--algo", default=DEFAULT_ALGORITHM,
                         help="MST algorithm for problem=mst")
     tgraph.add_argument("--mode", choices=("loop", "vectorized", "auto"),
                         default="auto")
@@ -336,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         lsrc.add_argument("--input", type=Path, default=None,
                           help="graph file (.gr/.mtx/.tsv/.npz)")
         p.add_argument("--scale", type=int, default=None)
-        p.add_argument("--algo", default="kruskal")
+        p.add_argument("--algo", default=DEFAULT_ALGORITHM)
         p.add_argument("--seed", type=int, default=0,
                        help="scenario and dataset seed")
         p.add_argument("--duration", type=float, default=None, metavar="S",

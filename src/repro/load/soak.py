@@ -179,7 +179,7 @@ def run_soak(
         store_dir = tmp.name
     try:
         store = ArtifactStore(store_dir)
-        svc = MSTService(store, algorithm="kruskal")
+        svc = MSTService(store)
         svc.load_graph(g)
         recorder = Recorder()
         outcomes = [FaultOutcome(family=f, injected=0, ok=True) for f in faults]

@@ -30,7 +30,6 @@ from repro.mst.llp_boruvka import llp_boruvka
 from repro.mst.kruskal import kruskal
 from repro.mst.kkt import kkt
 from repro.mst.ghs import ghs
-from repro.mst.hybrid import auto_mst, select_algorithm
 from repro.mst.dynamic import DynamicMSF
 from repro.mst.verify import (
     verify_spanning_forest,
@@ -53,8 +52,6 @@ __all__ = [
     "kruskal",
     "kkt",
     "ghs",
-    "auto_mst",
-    "select_algorithm",
     "DynamicMSF",
     "verify_spanning_forest",
     "verify_minimum",

@@ -4,7 +4,8 @@ Every algorithm with a vectorized fast path trades per-edge Python work
 for whole-array NumPy dispatch, and the exchange rate depends on graph
 shape.  The Boruvka family vectorizes its *rounds* — a handful of
 whole-edge-list scatters regardless of density — so its vectorized mode
-wins from a few hundred edges up (measured 1.3–80x here).  Dense-array
+wins at every size for the hook-and-jump variants and from a few hundred
+edges up for BFS-labelling ``boruvka``.  Dense-array
 Prim instead trades O(deg) Python per pop for an O(n) NumPy ``argmin``
 per pop, which only pays above an average-degree crossover.  Algorithms
 without a vectorized mode always resolve to ``"loop"``.
@@ -69,11 +70,15 @@ DEFAULT_CROSSOVERS: Dict[str, Crossover] = {
     # 1.07-1.30x at 128, the lowest degree at which vectorized won every
     # round of every sweep.
     "prim": Crossover(min_edges=2048, min_avg_degree=128.0),
-    # Round-vectorized Boruvka variants win from a few hundred edges at
-    # any density (measured 1.3x–80x across the shape grid).
-    "boruvka": Crossover(min_edges=256, min_avg_degree=0.0),
-    "llp-boruvka": Crossover(min_edges=256, min_avg_degree=0.0),
-    "parallel-boruvka": Crossover(min_edges=256, min_avg_degree=0.0),
+    # Round-vectorized Boruvka variants win at any density.  On calibrate()'s
+    # size sweep (G(n, m), n = max(16, m/3)), parallel-boruvka and
+    # llp-boruvka win already at its smallest point, 16 edges (1.8x and
+    # 1.7x, best of 7; 6.9x and 3.0x at 256).  BFS-labelling boruvka loses
+    # up to 256 edges (0.5-0.9x) and wins from 512 (1.1x); three calibrate()
+    # runs put its crossover at 512, 512 and 2048 edges.
+    "boruvka": Crossover(min_edges=512, min_avg_degree=0.0),
+    "llp-boruvka": Crossover(min_edges=16, min_avg_degree=0.0),
+    "parallel-boruvka": Crossover(min_edges=16, min_avg_degree=0.0),
 }
 
 _cached: Optional[Dict[str, Crossover]] = None
@@ -202,7 +207,7 @@ def calibrate(
             # Size sweep at a sparse degree: find where round
             # vectorization overtakes the interpreter.
             min_edges = 1 << 62  # unreachable unless a win is measured
-            for m in (512, 2048, 8192, 32768):
+            for m in (16, 32, 64, 128, 256, 512, 2048, 8192, 32768):
                 n = max(16, m // 3)
                 g = gnm_random_graph(n, m, seed=seed)
                 if _time_mode(name, "vectorized", g, repeats) < _time_mode(

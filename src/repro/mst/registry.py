@@ -8,6 +8,10 @@ Algorithms that grew a vectorized array-kernel fast path (see
 :mod:`repro.kernels`) accept a ``mode`` keyword; the registry records
 which ones in :class:`AlgorithmInfo` metadata so the CLI, benchmarks, and
 docs can discover the fast paths by name instead of hard-coding them.
+
+:data:`DEFAULT_ALGORITHM` names the solver every serving entry point
+(service, artifact store, platform, sharded coordinator, load drivers
+and their CLI verbs) runs when the caller names none.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from repro.mst.base import MSTResult
 from repro.obs.trace import span as _obs_span
 
 __all__ = [
+    "DEFAULT_ALGORITHM",
     "AlgorithmInfo",
     "get_algorithm",
     "available_algorithms",
@@ -28,6 +33,11 @@ __all__ = [
     "list_algorithm_info",
     "PARALLEL_ALGORITHMS",
 ]
+
+# The GBBS-style parallel Boruvka: in mode "auto" it runs its vectorized
+# hook-and-jump rounds, and like every registered solver it breaks ties
+# by CSRGraph.ranks, so it returns Kruskal's edge ids.
+DEFAULT_ALGORITHM = "parallel-boruvka"
 
 _SEQUENTIAL: Dict[str, Callable[[CSRGraph], MSTResult]] = {}
 _PARALLEL: Dict[str, Callable[..., MSTResult]] = {}

@@ -14,7 +14,7 @@ Schema (version 1)::
          "quota": {"max_graphs": 8, "resident_budget": 4, ...},
          "graphs": {
            "roads": {"source": {"path": "data/roads.gr"},
-                     "problem": "mst", "algorithm": "kruskal",
+                     "problem": "mst", "algorithm": "parallel-boruvka",
                      "mode": "auto", "shards": 0, "params": {}},
            "mesh":  {"source": {"kind": "gnm", "n": 1000, "m": 4000,
                      "seed": 7}, "problem": "sssp",
@@ -34,6 +34,7 @@ import os
 from pathlib import Path
 
 from repro.errors import ServiceError
+from repro.mst.registry import DEFAULT_ALGORITHM
 from repro.platform.quota import TenantQuota
 
 __all__ = [
@@ -154,7 +155,7 @@ def build_platform(root: str | Path):
                 platform.add_graph(
                     tname, gname, g,
                     problem=grec.get("problem", "mst"),
-                    algorithm=grec.get("algorithm", "kruskal"),
+                    algorithm=grec.get("algorithm", DEFAULT_ALGORITHM),
                     mode=grec.get("mode", "auto"),
                     shards=int(grec.get("shards", 0)),
                     source_spec=grec.get("source"),

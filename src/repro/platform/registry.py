@@ -32,6 +32,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import QuotaExceededError, ServiceError
 from repro.graphs.csr import CSRGraph
+from repro.mst.registry import DEFAULT_ALGORITHM
 from repro.obs.trace import span as _obs_span
 from repro.platform.pool import WorkerPool
 from repro.platform.quota import (
@@ -212,7 +213,7 @@ class GraphPlatform:
         g: CSRGraph,
         *,
         problem: str = "mst",
-        algorithm: str = "kruskal",
+        algorithm: str = DEFAULT_ALGORITHM,
         mode: Optional[str] = "auto",
         shards: int = 0,
         source_spec: Optional[dict] = None,

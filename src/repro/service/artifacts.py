@@ -52,6 +52,7 @@ from repro.errors import ServiceError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.tree_queries import ForestPathMax
 from repro.mst.base import MSTResult
+from repro.mst.registry import DEFAULT_ALGORITHM
 
 __all__ = [
     "MST",
@@ -162,9 +163,9 @@ def problem_fingerprint(
 def artifact_fingerprint(
     g: CSRGraph,
     problem: str = MST,
-    mode: str | None = None,
+    mode: str | None = "auto",
     *,
-    algorithm: str = "kruskal",
+    algorithm: str = DEFAULT_ALGORITHM,
     params: dict | None = None,
     shards: int = 0,
 ) -> str:
@@ -377,9 +378,9 @@ def artifact_from_result(
 def solve_artifact(
     g: CSRGraph,
     problem: str = MST,
-    mode: str | None = None,
+    mode: str | None = "auto",
     *,
-    algorithm: str = "kruskal",
+    algorithm: str = DEFAULT_ALGORITHM,
     params: dict | None = None,
     shards: int = 0,
     fingerprint: str | None = None,
@@ -622,9 +623,9 @@ class ArtifactStore:
         self,
         g: CSRGraph,
         problem: str = MST,
-        mode: str | None = None,
+        mode: str | None = "auto",
         *,
-        algorithm: str = "kruskal",
+        algorithm: str = DEFAULT_ALGORITHM,
         params: dict | None = None,
         shards: int = 0,
         **execution,

@@ -39,6 +39,7 @@ from repro.errors import ServiceError, WeightError
 from repro.graphs.csr import CSRGraph
 from repro.mst.base import result_from_edge_ids
 from repro.mst.dynamic import DynamicMSF
+from repro.mst.registry import DEFAULT_ALGORITHM
 from repro.obs.trace import span as _obs_span
 from repro.service.artifacts import (
     MST,
@@ -206,7 +207,7 @@ class MSTService(ArtifactService):
         self,
         store: ArtifactStore | str | Path | None = None,
         *,
-        algorithm: str = "kruskal",
+        algorithm: str = DEFAULT_ALGORITHM,
         mode: str | None = "auto",
         backend=None,
         metrics: ServiceMetrics | None = None,

@@ -40,6 +40,7 @@ import numpy as np
 from repro.errors import BenchmarkError, ServiceError
 from repro.graphs.csr import CSRGraph
 from repro.mst.base import MSTResult, result_from_edge_ids
+from repro.mst.registry import DEFAULT_ALGORITHM
 from repro.obs.trace import current_tracer
 from repro.shard.filter import boruvka_filter
 from repro.shard.memory import ARENA_BACKINGS, SharedEdgeArena
@@ -72,7 +73,7 @@ def sharded_mst(
     *,
     n_shards: int = 4,
     partition: str = "hash",
-    algorithm: str = "kruskal",
+    algorithm: str = DEFAULT_ALGORITHM,
     mode: str | None = "auto",
     seed: int = 0,
     executor: str = "auto",

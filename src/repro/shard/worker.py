@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.graphs.csr import CSRGraph
 from repro.graphs.edgelist import EdgeList
+from repro.mst.registry import DEFAULT_ALGORITHM
 from repro.shard.memory import ArenaSpec, attach_readonly, labels_view
 from repro.shard.partition import shard_edge_ids
 
@@ -148,16 +149,17 @@ def solve_shard_local(
     edge_v: np.ndarray,
     edge_w: np.ndarray,
     ids: np.ndarray,
-    algorithm: str = "kruskal",
-    mode: str | None = None,
+    algorithm: str = DEFAULT_ALGORITHM,
+    mode: str | None = "auto",
     labels: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Solve one shard in the current process; global MSF-candidate ids.
 
     Shared by worker processes (over arena views) and the serial executor
-    (over the graph's own arrays) so both paths are byte-identical.  The
-    default ``kruskal`` local solver takes the subgraph-free fast path;
-    any other registered algorithm runs over the shard's own CSR graph.
+    (over the graph's own arrays) so both paths are byte-identical.
+    ``kruskal`` takes a subgraph-free fast path over the shard's ids;
+    any other registered algorithm, the default included, runs over the
+    shard's own CSR graph.
 
     ``labels`` (from the coordinator's
     :func:`~repro.shard.filter.boruvka_filter` pre-pass) contracts the

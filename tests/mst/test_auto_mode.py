@@ -104,6 +104,17 @@ def test_prim_crossover_sits_at_measured_degree():
     assert choose_mode("prim", n, 64_000) == "vectorized"  # degree 128
 
 
+@pytest.mark.parametrize("name,n,m,mode", [
+    ("parallel-boruvka", 16, 16, "vectorized"),
+    ("llp-boruvka", 16, 16, "vectorized"),
+    ("boruvka", 85, 256, "loop"),
+])
+def test_boruvka_family_crossover_sits_at_measured_size(name, n, m, mode):
+    """calibrate()'s size sweep from 16 edges: the hook-and-jump variants
+    win vectorized at its smallest point; boruvka loses up to 256 edges."""
+    assert choose_mode(name, n, m) == mode
+
+
 def test_choose_mode_loop_only_algorithms():
     assert choose_mode("kruskal", 1_000_000, 10_000_000) == "loop"
     assert choose_mode("ghs", 1_000, 100_000) == "loop"

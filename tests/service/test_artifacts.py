@@ -187,12 +187,13 @@ def test_msf_file_of_layout_2_recomputes_once(tmp_path):
     shutil.copy(GOLDEN / "msf-layout-2.npz", path)
     with pytest.raises(ServiceError, match="unsupported artifact version 2"):
         load_npz_artifact(path)
-    art, hit = store.get_or_compute(g)
+    # The golden file is a Kruskal solve, stored under Kruskal's key.
+    art, hit = store.get_or_compute(g, mode=None, algorithm="kruskal")
     assert not hit and store.stats() == {"hits": 0, "misses": 1, "corrupt_replaced": 1}
     with np.load(path) as data:
         assert int(data["format_version"]) == 3 and "index_up" not in data.files
     warm = ArtifactStore(tmp_path)
-    again, hit = warm.get_or_compute(g)
+    again, hit = warm.get_or_compute(g, mode=None, algorithm="kruskal")
     assert hit and warm.stats()["corrupt_replaced"] == 0
     assert _same_content(again, art)
 

@@ -38,6 +38,15 @@ def _assert_matches_recompute(svc):
     assert np.array_equal(engine.connected_many(us, vs), comp[us] == comp[vs])
 
 
+def _assert_kruskals_forest_arrays(svc):
+    """The served forest arrays are Kruskal's on the current graph."""
+    oracle = solve_artifact(svc.graph, "mst", "auto", algorithm="kruskal")
+    for name in ("msf_edge_ids", "msf_u", "msf_v", "msf_w"):
+        assert np.array_equal(getattr(svc.artifact, name), getattr(oracle, name)), name
+    assert svc.artifact.total_weight == oracle.total_weight
+    assert svc.artifact.n_components == oracle.n_components
+
+
 @pytest.mark.parametrize("n,m,seed", CASES)
 def test_random_mutation_sequence_matches_recompute(tmp_path, n, m, seed):
     g = gnm_random_graph(n, m, seed=seed)
@@ -136,9 +145,10 @@ def test_mutated_artifact_is_the_fresh_solve_of_its_graph(tmp_path, seed):
     u, v = svc.graph.edge_endpoints(0)
     svc.delete_edge(int(u), int(v))
     svc.insert_edge(0, 199, 0.001)
-    fresh = solve_artifact(svc.graph, "mst", "auto", algorithm="kruskal")
+    fresh = solve_artifact(svc.graph, "mst", "auto", algorithm=svc.algorithm)
     assert _same_content(svc.artifact, fresh)
     assert np.array_equal(svc.graph.edge_u[svc.artifact.msf_edge_ids], fresh.msf_u)
+    _assert_kruskals_forest_arrays(svc)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -155,9 +165,10 @@ def test_mutated_artifact_is_the_fresh_solve_under_ties(tmp_path, seed):
     u, v = svc.graph.edge_endpoints(0)
     svc.delete_edge(int(u), int(v))
     svc.insert_edge(0, 59, 1.0)
-    fresh = solve_artifact(svc.graph, "mst", "auto", algorithm="kruskal")
+    fresh = solve_artifact(svc.graph, "mst", "auto", algorithm=svc.algorithm)
     assert _same_content(svc.artifact, fresh)
     assert np.array_equal(svc.artifact.msf_edge_ids, fresh.msf_edge_ids)
+    _assert_kruskals_forest_arrays(svc)
 
 
 @pytest.mark.parametrize("op", ["insert", "delete"])

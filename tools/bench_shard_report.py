@@ -53,6 +53,8 @@ BASELINES = [
     ("kruskal", None),
     ("boruvka", "vectorized"),
     ("prim", "vectorized"),
+    ("parallel-boruvka", "vectorized"),
+    ("llp-boruvka", "vectorized"),
 ]
 
 
@@ -124,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         elif ids != reference:
             print(f"FATAL: {label} disagrees on the MSF", file=sys.stderr)
             return 1
-        print(f"baseline {label:22s} {secs * 1e3:9.2f} ms")
+        print(f"baseline {label:30s} {secs * 1e3:9.2f} ms")
 
     vec_best = min(v["seconds"] for k, v in baselines.items() if "/" in k)
     sharded = {}
@@ -157,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         if k > 1 and wins:
             beats_vectorized = True
         sharded[str(k)] = entry
-        print(f"sharded  x{k} ({executor:7s})      {secs * 1e3:9.2f} ms   "
+        print(f"sharded  x{k} ({executor:7s}){'':18s}{secs * 1e3:9.2f} ms   "
               f"beats: {', '.join(wins) or '-'}")
 
     if leaked_segments():
