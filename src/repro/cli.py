@@ -1226,6 +1226,10 @@ def _cmd_tenant(args: argparse.Namespace) -> int:
 
             g = graph_from_spec(source)  # validates the spec eagerly
             params = _problem_params(args.problem, args.source)  # validates the name
+            if args.problem == "mst":
+                from repro.mst.registry import algorithm_info
+
+                algorithm_info(args.algo)  # validates the solver's name
             graphs[args.graph] = {
                 "source": source, "problem": args.problem,
                 "algorithm": args.algo, "mode": args.mode,

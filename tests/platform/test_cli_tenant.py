@@ -55,6 +55,15 @@ class TestTenantVerbs:
                      "--problem", "frobnicate"]) != 0
         assert load_manifest(tmp_path)["tenants"]["acme"]["graphs"] == {}
 
+    def test_add_graph_refuses_an_unknown_algorithm(self, tmp_path, capsys):
+        _add_tenant(tmp_path, "acme")
+        # A record the next boot would refuse never lands in the manifest.
+        assert main(["tenant", "add-graph", "acme", "mesh",
+                     "--root", str(tmp_path), "--gnm", "50:150:1",
+                     "--algo", "frobnicate"]) == 2
+        assert "unknown algorithm 'frobnicate'" in capsys.readouterr().err
+        assert load_manifest(tmp_path)["tenants"]["acme"]["graphs"] == {}
+
     def test_rm_graph(self, tmp_path):
         _add_tenant(tmp_path, "acme")
         assert main(["tenant", "add-graph", "acme", "mesh",
