@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.csr import CSRGraph
-from repro.graphs.edgelist import EdgeList
+from repro.graphs.edgelist import EdgeList, pair_word
 
 __all__ = ["GraphBuilder", "from_edges", "complete_graph_edges", "pair_rank_weights"]
 
@@ -101,13 +101,12 @@ def pair_rank_weights(iu: np.ndarray, iv: np.ndarray, n: int) -> np.ndarray:
     2**53: float64 cannot represent every integer beyond that, so
     distinct pairs silently merge and the unique-weight invariant the
     MST algorithms rely on breaks.  Computing in ``int64`` is exact for
-    every materialisable graph (ranks fit ``int64`` whenever
-    ``n**2 < 2**63``); :class:`~repro.graphs.edgelist.EdgeList`
+    every materialisable graph (these are the pair words of
+    :func:`~repro.graphs.edgelist.pair_word`, which refuses an ``n``
+    whose words would overflow); :class:`~repro.graphs.edgelist.EdgeList`
     preserves integer weights as ``int64`` end to end.
     """
-    iu = np.asarray(iu, dtype=np.int64)
-    iv = np.asarray(iv, dtype=np.int64)
-    return iu * np.int64(n) + iv
+    return pair_word(np.asarray(iu, dtype=np.int64), np.asarray(iv, dtype=np.int64), n)
 
 
 def complete_graph_edges(n: int, weight_fn=None) -> EdgeList:

@@ -32,16 +32,18 @@ from typing import Iterator, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graphs.edgelist import EdgeList
+from repro.graphs.edgelist import EdgeList, check_pair_word_limit, pair_word
 from repro.graphs.spill import anonymous_memmap
 from repro.graphs.weights import weight_order_ranks
+from repro.obs.trace import span as _obs_span
 
 __all__ = ["CSRGraph"]
 
-# Above this edge count the one-shot build's ~11 half-edge-sized
-# temporaries (double-concat + lexsort + permutes) start to dominate
-# peak RSS, and from_edgelist switches to the chunked counting-sort
-# build automatically.  4M edges keeps every test-scale graph on the
+# Above this edge count the one-shot build's peak of about 8
+# half-edge-sized arrays (doubled endpoints, pair words, sort order,
+# the three outputs, the ranks) starts to dominate peak RSS, and
+# from_edgelist switches to the chunked counting-sort build
+# automatically.  4M edges keeps every test-scale graph on the
 # exhaustively-tested direct path.
 _DIRECT_BUILD_MAX_EDGES = 1 << 22
 
@@ -116,46 +118,49 @@ class CSRGraph:
     ) -> "CSRGraph":
         """Build the CSR view of an :class:`EdgeList`.
 
-        Small graphs take the one-shot path (global lexsort over the
-        doubled half-edge arrays).  Past :data:`_DIRECT_BUILD_MAX_EDGES`
-        — or whenever ``chunk_edges`` / ``memmap_dir`` is given — the
-        build switches to a chunked counting sort whose transient
+        Small graphs take the one-shot path (one stable sort of the
+        doubled half-edges' :func:`~repro.graphs.edgelist.pair_word`
+        keys).  Past :data:`_DIRECT_BUILD_MAX_EDGES` — or whenever
+        ``chunk_edges`` / ``memmap_dir`` is given — the build switches
+        to a chunked counting sort whose transient
         allocations are bounded by the chunk size instead of the graph,
         optionally writing ``indices`` / ``weights`` / ``edge_ids`` into
         anonymous disk-backed memmaps.  Both paths produce byte-identical
         arrays (covered by tests over the adversarial checking families).
+        Raises :class:`~repro.errors.GraphError` before any per-vertex
+        allocation when the vertex count passes
+        :data:`~repro.graphs.edgelist.MAX_PAIR_WORD_VERTICES`.
         """
-        if (
-            chunk_edges is None
-            and memmap_dir is None
-            and edges.n_edges <= _DIRECT_BUILD_MAX_EDGES
+        with _obs_span(
+            "csr:build", "graphs", n_vertices=edges.n_vertices, n_edges=edges.n_edges
         ):
-            return CSRGraph._from_edgelist_direct(edges)
-        return CSRGraph._from_edgelist_chunked(
-            edges, chunk_edges or _DEFAULT_CHUNK_EDGES, memmap_dir
-        )
+            if (
+                chunk_edges is None
+                and memmap_dir is None
+                and edges.n_edges <= _DIRECT_BUILD_MAX_EDGES
+            ):
+                return CSRGraph._from_edgelist_direct(edges)
+            return CSRGraph._from_edgelist_chunked(
+                edges, chunk_edges or _DEFAULT_CHUNK_EDGES, memmap_dir
+            )
 
     @staticmethod
     def _from_edgelist_direct(edges: EdgeList) -> "CSRGraph":
         n = edges.n_vertices
         m = edges.n_edges
-        # Two half-edges per undirected edge.
-        src = np.concatenate([edges.u, edges.v]) if m else np.empty(0, np.int64)
-        dst = np.concatenate([edges.v, edges.u]) if m else np.empty(0, np.int64)
-        eid = (
-            np.concatenate([np.arange(m, dtype=np.int64)] * 2)
-            if m
-            else np.empty(0, np.int64)
-        )
-        w = np.concatenate([edges.w, edges.w]) if m else np.empty(0, edges.w.dtype)
-
-        # Counting sort by source vertex, neighbors sorted within a vertex.
-        order = np.lexsort((dst, src)) if m else np.empty(0, np.int64)
-        src, dst, eid, w = src[order], dst[order], eid[order], w[order]
-        counts = np.bincount(src, minlength=n) if m else np.zeros(n, np.int64)
+        # Half-edge slot i < m is edge i's u -> v, slot m + i its v -> u.
+        # One stable sort of the slots' pair words orders them by
+        # (source, neighbor) and keeps parallel half-edges in edge-id
+        # order.
+        src = np.concatenate([edges.u, edges.v])
+        dst = np.concatenate([edges.v, edges.u])
+        slot = np.argsort(pair_word(src, dst, n), kind="stable")
+        eid = slot % max(m, 1)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return CSRGraph(n, indptr, dst, w, eid, edges.u, edges.v, edges.w)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return CSRGraph(
+            n, indptr, dst[slot], edges.w[eid], eid, edges.u, edges.v, edges.w
+        )
 
     @staticmethod
     def _from_edgelist_chunked(
@@ -169,14 +174,16 @@ class CSRGraph:
         chunk's half-edges at per-vertex write cursors after a stable
         in-chunk sort by source, so every vertex block fills in chunk
         order.  A final chunked pass stably sorts each vertex block by
-        neighbor, which reproduces the one-shot ``lexsort((dst, src))``
-        order exactly: within one vertex block, equal-neighbor runs are
-        parallel edges whose half-edges all come from the *same* side of
-        the doubled array (canonical ``u < v`` makes cross-side ties
-        impossible), and both placement and the stable sorts keep those
-        runs in ascending-edge-id order — the one-shot order.
+        neighbor (one stable sort of the (vertex, neighbor) pair words),
+        which reproduces the one-shot build's order exactly: within one
+        vertex block, equal-neighbor runs are parallel edges whose
+        half-edges all come from the *same* side of the doubled array
+        (canonical ``u < v`` makes cross-side ties impossible), and both
+        placement and the stable sorts keep those runs in
+        ascending-edge-id order — the one-shot order.
         """
         n = edges.n_vertices
+        check_pair_word_limit(n)  # before pass 1 allocates per-vertex counts
         m = edges.n_edges
         h = 2 * m
         step = max(int(chunk_edges), 1)
@@ -235,7 +242,7 @@ class CSRGraph:
                     np.arange(v0, v1, dtype=np.int64), np.diff(indptr[v0 : v1 + 1])
                 )
                 d, w_, i_ = indices[s:e], weights[s:e], eids[s:e]
-                order = np.lexsort((d, seg))
+                order = np.argsort(pair_word(seg, d, n), kind="stable")
                 indices[s:e] = d[order]
                 weights[s:e] = w_[order]
                 eids[s:e] = i_[order]

@@ -11,10 +11,15 @@ which case they are kept as ``int64``: converting large integers (beyond
 2**53) to float silently merges distinct weights, which would corrupt both
 the weight total order and the content-addressed artifact fingerprints
 downstream.
+
+Sorting by vertex pair goes through :func:`pair_word`, one int64 key per
+``(lo, hi)`` pair, so one stable ``argsort`` replaces a multi-key lexsort
+wherever edges are ordered by their endpoints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Tuple
 
@@ -22,10 +27,35 @@ import numpy as np
 
 from repro.errors import GraphError, WeightError
 
-__all__ = ["EdgeList"]
+__all__ = ["EdgeList", "MAX_PAIR_WORD_VERTICES", "check_pair_word_limit", "pair_word"]
 
 _VERTEX_DTYPE = np.int64
 _WEIGHT_DTYPE = np.float64
+
+# Largest vertex count whose pair words all fit int64: the largest word,
+# (n - 1) * n + (n - 1) = n * n - 1, must not pass 2**63 - 1.
+MAX_PAIR_WORD_VERTICES = math.isqrt(2**63 - 1)
+
+
+def check_pair_word_limit(n_vertices: int) -> None:
+    """Raise :class:`GraphError` when ``n_vertices`` pair words overflow int64."""
+    if n_vertices > MAX_PAIR_WORD_VERTICES:
+        raise GraphError(
+            f"{n_vertices} vertices exceed the pair-word limit of "
+            f"{MAX_PAIR_WORD_VERTICES}: lo * n + hi would overflow int64"
+        )
+
+
+def pair_word(lo, hi, n_vertices: int) -> np.ndarray:
+    """The int64 sort key ``lo * n + hi`` of each vertex pair.
+
+    For ids in ``[0, n)`` the words order exactly as the ``(lo, hi)``
+    pairs do, so a stable ``argsort`` of them is a stable two-key
+    lexsort.  Raises :class:`GraphError` above
+    :data:`MAX_PAIR_WORD_VERTICES` vertices.
+    """
+    check_pair_word_limit(n_vertices)
+    return lo * np.int64(n_vertices) + hi
 
 
 def _as_weight_array(w) -> np.ndarray:
@@ -106,15 +136,25 @@ class EdgeList:
         lo_end, hi_end, w = lo_end[keep], hi_end[keep], w[keep]
 
         if dedup and lo_end.size:
-            # Sort by (u, v, w) so the first edge of each (u, v) group is the
-            # minimum-weight parallel edge; then keep group leaders.
-            order = np.lexsort((w, hi_end, lo_end))
+            # One stable sort of the pair words groups parallel edges in
+            # input order; each group keeps its first edge whose weight
+            # equals the group minimum.  Matching by ``==`` keeps that
+            # edge's own weight bytes, where reduceat's minimum of 0.0
+            # and -0.0 may be either zero.
+            key = pair_word(lo_end, hi_end, n_vertices)
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            head = np.empty(key.size, dtype=bool)
+            head[0] = True
+            np.not_equal(key[1:], key[:-1], out=head[1:])
+            if not head.all():
+                ws = w[order]
+                group = np.cumsum(head) - 1
+                low = ws == np.minimum.reduceat(ws, np.flatnonzero(head))[group]
+                at = np.flatnonzero(low)
+                first = np.r_[True, group[at[1:]] != group[at[:-1]]]
+                order = order[at[first]]
             lo_end, hi_end, w = lo_end[order], hi_end[order], w[order]
-            leader = np.empty(lo_end.size, dtype=bool)
-            leader[0] = True
-            np.not_equal(lo_end[1:], lo_end[:-1], out=leader[1:])
-            leader[1:] |= hi_end[1:] != hi_end[:-1]
-            lo_end, hi_end, w = lo_end[leader], hi_end[leader], w[leader]
 
         for arr in (lo_end, hi_end, w):
             arr.setflags(write=False)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphError
+from repro.obs.trace import span as _obs_span
 
 __all__ = ["ForestPathMax", "DISCONNECTED"]
 
@@ -51,86 +52,87 @@ class ForestPathMax:
     """
 
     def __init__(self, n: int, fu: np.ndarray, fv: np.ndarray, frank: np.ndarray) -> None:
-        fu = np.asarray(fu, dtype=np.int64)
-        fv = np.asarray(fv, dtype=np.int64)
-        frank = np.asarray(frank, dtype=np.int64)
-        if not (fu.shape == fv.shape == frank.shape):
-            raise GraphError("forest edge arrays must have identical shape")
-        if fu.size >= n and n > 0:
-            raise GraphError("too many edges for a forest")
-        n = self.n = int(n)
-        m = fu.size
-        if m and (min(fu.min(), fv.min()) < 0 or max(fu.max(), fv.max()) >= n):
-            raise GraphError("forest edge endpoint out of range")
-        vertices = np.arange(n, dtype=np.int64)
+        with _obs_span("index:build", "graphs", n_vertices=int(n), n_edges=len(fu)):
+            fu = np.asarray(fu, dtype=np.int64)
+            fv = np.asarray(fv, dtype=np.int64)
+            frank = np.asarray(frank, dtype=np.int64)
+            if not (fu.shape == fv.shape == frank.shape):
+                raise GraphError("forest edge arrays must have identical shape")
+            if fu.size >= n and n > 0:
+                raise GraphError("too many edges for a forest")
+            n = self.n = int(n)
+            m = fu.size
+            if m and (min(fu.min(), fv.min()) < 0 or max(fu.max(), fv.max()) >= n):
+                raise GraphError("forest edge endpoint out of range")
+            vertices = np.arange(n, dtype=np.int64)
 
-        # Euler tours: arc a < m runs fu[a] -> fv[a], arc a + m the reverse.
-        # Sorted by tail, the arcs form each vertex's cyclic arc list; the
-        # tour successor of x -> y is the arc after y -> x in y's list.
-        src = np.concatenate([fu, fv])
-        twin = np.concatenate([np.arange(m, 2 * m), np.arange(m)])
-        order = np.argsort(src)
-        deg = np.bincount(src, minlength=n)
-        start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=start[1:])
-        has_arc = deg > 0
-        nxt = np.arange(1, 2 * m + 1)
-        nxt[start[1:][has_arc] - 1] = start[:-1][has_arc]
-        after = np.empty(2 * m, dtype=np.int64)
-        after[order] = order[nxt]
-        succ = after[twin]
+            # Euler tours: arc a < m runs fu[a] -> fv[a], arc a + m the reverse.
+            # Sorted by tail, the arcs form each vertex's cyclic arc list; the
+            # tour successor of x -> y is the arc after y -> x in y's list.
+            src = np.concatenate([fu, fv])
+            twin = np.concatenate([np.arange(m, 2 * m), np.arange(m)])
+            order = np.argsort(src)
+            deg = np.bincount(src, minlength=n)
+            start = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(deg, out=start[1:])
+            has_arc = deg > 0
+            nxt = np.arange(1, 2 * m + 1)
+            nxt[start[1:][has_arc] - 1] = start[:-1][has_arc]
+            after = np.empty(2 * m, dtype=np.int64)
+            after[order] = order[nxt]
+            succ = after[twin]
 
-        # Each tour starts at its least arc in that sorted order: the first
-        # arc of its least vertex, the tree's root.  Min-doubling along the
-        # tour (G := G[G], ceil(log2 2m) sweeps) gives every arc the sorted
-        # position of that first arc (high bits) and the steps to it (low).
-        sweeps = max(2 * m - 1, 0).bit_length()
-        pos = np.empty(2 * m, dtype=np.int64)
-        pos[order] = np.arange(2 * m)
-        best = (pos[succ] << (sweeps + 1)) + 1
-        for k in range(sweeps):
-            best = np.minimum(best, best[succ] + (1 << k))
-            succ = succ[succ]
-        label = src[order][best >> (sweeps + 1)]
-        comp = vertices.copy()
-        comp[has_arc] = label[order[start[:-1][has_arc]]]
-        # A forest has n - m trees; a cycle only splits tours, so it leaves
-        # more self-labelled vertices than that.
-        if m != n - int(np.count_nonzero(comp == vertices)):
-            raise GraphError("edge set contains a cycle; not a forest")
+            # Each tour starts at its least arc in that sorted order: the first
+            # arc of its least vertex, the tree's root.  Min-doubling along the
+            # tour (G := G[G], ceil(log2 2m) sweeps) gives every arc the sorted
+            # position of that first arc (high bits) and the steps to it (low).
+            sweeps = max(2 * m - 1, 0).bit_length()
+            pos = np.empty(2 * m, dtype=np.int64)
+            pos[order] = np.arange(2 * m)
+            best = (pos[succ] << (sweeps + 1)) + 1
+            for k in range(sweeps):
+                best = np.minimum(best, best[succ] + (1 << k))
+                succ = succ[succ]
+            label = src[order][best >> (sweeps + 1)]
+            comp = vertices.copy()
+            comp[has_arc] = label[order[start[:-1][has_arc]]]
+            # A forest has n - m trees; a cycle only splits tours, so it leaves
+            # more self-labelled vertices than that.
+            if m != n - int(np.count_nonzero(comp == vertices)):
+                raise GraphError("edge set contains a cycle; not a forest")
 
-        # The arc farther ahead of its tour's first arc comes earlier: it
-        # runs parent -> child.
-        ahead = best & ((2 << sweeps) - 1)
-        down = ahead[:m] > ahead[m:]
-        child = np.where(down, fv, fu)
-        parent = np.full(n, -1, dtype=np.int64)
-        parent[child] = np.where(down, fu, fv)
-        pedge = np.full(n, -1, dtype=np.int64)
-        pedge[child] = frank
-        depth = _list_rank(np.where(parent >= 0, parent, vertices))
+            # The arc farther ahead of its tour's first arc comes earlier: it
+            # runs parent -> child.
+            ahead = best & ((2 << sweeps) - 1)
+            down = ahead[:m] > ahead[m:]
+            child = np.where(down, fv, fu)
+            parent = np.full(n, -1, dtype=np.int64)
+            parent[child] = np.where(down, fu, fv)
+            pedge = np.full(n, -1, dtype=np.int64)
+            pedge[child] = frank
+            depth = _list_rank(np.where(parent >= 0, parent, vertices))
 
-        self.depth = depth
-        self.comp = comp
-        max_depth = int(depth.max()) if n else 0
-        levels = max(1, int(np.ceil(np.log2(max(max_depth, 1) + 1))) + 1)
-        up = np.full((levels, n), -1, dtype=np.int64)
-        mx = np.full((levels, n), -1, dtype=np.int64)
-        # up[k][v] = 2^k-th ancestor of v (-1 when fewer ancestors exist);
-        # mx[k][v] = max edge rank on that 2^k-edge path (valid iff up >= 0).
-        up[0] = parent
-        mx[0] = pedge
-        for k in range(1, levels):
-            prev_up, prev_mx = up[k - 1], mx[k - 1]
-            has_mid = np.flatnonzero(prev_up >= 0)
-            mid = prev_up[has_mid]
-            full = has_mid[prev_up[mid] >= 0]  # both halves exist
-            mid_full = prev_up[full]
-            up[k, full] = prev_up[mid_full]
-            mx[k, full] = np.maximum(prev_mx[full], prev_mx[mid_full])
-        self._up = up
-        self._mx = mx
-        self._levels = levels
+            self.depth = depth
+            self.comp = comp
+            max_depth = int(depth.max()) if n else 0
+            levels = max(1, int(np.ceil(np.log2(max(max_depth, 1) + 1))) + 1)
+            up = np.full((levels, n), -1, dtype=np.int64)
+            mx = np.full((levels, n), -1, dtype=np.int64)
+            # up[k][v] = 2^k-th ancestor of v (-1 when fewer ancestors exist);
+            # mx[k][v] = max edge rank on that 2^k-edge path (valid iff up >= 0).
+            up[0] = parent
+            mx[0] = pedge
+            for k in range(1, levels):
+                prev_up, prev_mx = up[k - 1], mx[k - 1]
+                has_mid = np.flatnonzero(prev_up >= 0)
+                mid = prev_up[has_mid]
+                full = has_mid[prev_up[mid] >= 0]  # both halves exist
+                mid_full = prev_up[full]
+                up[k, full] = prev_up[mid_full]
+                mx[k, full] = np.maximum(prev_mx[full], prev_mx[mid_full])
+            self._up = up
+            self._mx = mx
+            self._levels = levels
 
     # ------------------------------------------------------------------
     @property

@@ -53,6 +53,7 @@ from repro.graphs.csr import CSRGraph
 from repro.graphs.tree_queries import ForestPathMax
 from repro.mst.base import MSTResult
 from repro.mst.registry import DEFAULT_ALGORITHM
+from repro.obs.trace import span as _obs_span
 
 __all__ = [
     "MST",
@@ -94,14 +95,15 @@ def update_graph_hash(h, g: CSRGraph) -> None:
     representation with a dtype tag — int64 weights must not round
     through float64 (values beyond 2**53 would collide).
     """
-    h.update(str(int(g.n_vertices)).encode())
-    h.update(np.ascontiguousarray(g.edge_u, dtype="<i8").tobytes())
-    h.update(np.ascontiguousarray(g.edge_v, dtype="<i8").tobytes())
-    if g.edge_w.dtype.kind in "iu":
-        h.update(b"w:i8")
-        h.update(np.ascontiguousarray(g.edge_w, dtype="<i8").tobytes())
-    else:
-        h.update(np.ascontiguousarray(g.edge_w, dtype="<f8").tobytes())
+    with _obs_span("artifact:fingerprint", "service", n_edges=g.n_edges):
+        h.update(str(int(g.n_vertices)).encode())
+        h.update(np.ascontiguousarray(g.edge_u, dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(g.edge_v, dtype="<i8").tobytes())
+        if g.edge_w.dtype.kind in "iu":
+            h.update(b"w:i8")
+            h.update(np.ascontiguousarray(g.edge_w, dtype="<i8").tobytes())
+        else:
+            h.update(np.ascontiguousarray(g.edge_w, dtype="<f8").tobytes())
 
 
 def graph_fingerprint(
@@ -444,24 +446,25 @@ def save_npz_artifact(artifact, path: str | Path) -> Path:
     graph cold on one store) never share it: every ``os.replace``
     installs a complete file.  A failed write removes its temporary file.
     """
-    path = Path(path)
-    payload = {
-        "format_version": np.int64(artifact.format_version),
-        "fingerprint": np.str_(artifact.fingerprint),
-        "problem": np.str_(artifact.problem),
-        "mode": np.str_(artifact.mode or ""),
-        "n_vertices": np.int64(artifact.n_vertices),
-        **artifact._payload(),
-    }
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **payload)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
+    with _obs_span("artifact:save", "service"):
+        path = Path(path)
+        payload = {
+            "format_version": np.int64(artifact.format_version),
+            "fingerprint": np.str_(artifact.fingerprint),
+            "problem": np.str_(artifact.problem),
+            "mode": np.str_(artifact.mode or ""),
+            "n_vertices": np.int64(artifact.n_vertices),
+            **artifact._payload(),
+        }
+        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez(fh, **payload)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        return path
 
 
 def load_npz_artifact(path: str | Path, expect_fingerprint: str | None = None):
@@ -473,48 +476,49 @@ def load_npz_artifact(path: str | Path, expect_fingerprint: str | None = None):
     truncated files, missing fields, version mismatches, fingerprint
     disagreement, or a failed structural check.
     """
-    path = Path(path)
-    try:
-        # Our own handle: np.load leaks the one it opens when the zip
-        # directory is unreadable.
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-            problem = str(data["problem"].item()) if "problem" in data.files else MST
-            kind = MSFArtifact if problem == MST else ProblemArtifact
-            version = int(data["format_version"])
-            if version != kind.format_version:
-                raise ServiceError(f"unsupported artifact version {version} in {path}")
-            fingerprint = str(data["fingerprint"].item())
-            if expect_fingerprint is not None and fingerprint != expect_fingerprint:
-                raise ServiceError(
-                    f"artifact fingerprint mismatch in {path}: file claims "
-                    f"{fingerprint[:12]}..., expected {expect_fingerprint[:12]}..."
+    with _obs_span("artifact:load", "service"):
+        path = Path(path)
+        try:
+            # Our own handle: np.load leaks the one it opens when the zip
+            # directory is unreadable.
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+                problem = str(data["problem"].item()) if "problem" in data.files else MST
+                kind = MSFArtifact if problem == MST else ProblemArtifact
+                version = int(data["format_version"])
+                if version != kind.format_version:
+                    raise ServiceError(f"unsupported artifact version {version} in {path}")
+                fingerprint = str(data["fingerprint"].item())
+                if expect_fingerprint is not None and fingerprint != expect_fingerprint:
+                    raise ServiceError(
+                        f"artifact fingerprint mismatch in {path}: file claims "
+                        f"{fingerprint[:12]}..., expected {expect_fingerprint[:12]}..."
+                    )
+                artifact = kind._from_payload(
+                    data,
+                    fingerprint=fingerprint,
+                    mode=str(data["mode"].item()) or None,
+                    n_vertices=int(data["n_vertices"]),
                 )
-            artifact = kind._from_payload(
-                data,
-                fingerprint=fingerprint,
-                mode=str(data["mode"].item()) or None,
-                n_vertices=int(data["n_vertices"]),
-            )
-    except ServiceError:
-        raise
-    except (
-        OSError,
-        KeyError,
-        ValueError,
-        zipfile.BadZipFile,
-        EOFError,
-        # Bit flips / garbage inside a zip member surface from the
-        # decompressor and the header parser, not from zipfile.
-        zlib.error,
-        struct.error,
-        # A damaged member header can claim encryption, an unknown
-        # compression method or zip version: zipfile raises
-        # RuntimeError or its subclass NotImplementedError.
-        RuntimeError,
-    ) as exc:
-        raise ServiceError(f"corrupted artifact file {path}: {exc}") from exc
-    artifact._validate(path)
-    return artifact
+        except ServiceError:
+            raise
+        except (
+            OSError,
+            KeyError,
+            ValueError,
+            zipfile.BadZipFile,
+            EOFError,
+            # Bit flips / garbage inside a zip member surface from the
+            # decompressor and the header parser, not from zipfile.
+            zlib.error,
+            struct.error,
+            # A damaged member header can claim encryption, an unknown
+            # compression method or zip version: zipfile raises
+            # RuntimeError or its subclass NotImplementedError.
+            RuntimeError,
+        ) as exc:
+            raise ServiceError(f"corrupted artifact file {path}: {exc}") from exc
+        artifact._validate(path)
+        return artifact
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.errors import ServiceError, WeightError
 from repro.graphs.csr import CSRGraph
+from repro.graphs.edgelist import pair_word
 from repro.mst.base import result_from_edge_ids
 from repro.mst.dynamic import DynamicMSF
 from repro.mst.registry import DEFAULT_ALGORITHM
@@ -339,11 +340,13 @@ class MSTService(ArtifactService):
         with _obs_span("service:mutation", "service"):
             fu, fv, _, _ = self._dyn.forest_arrays()
             snapshot = self._graph = self._dyn.snapshot()
-            # Snapshot edges are the lexsorted (u < v) pairs: one search maps
-            # the forest onto snapshot edge ids.
+            # Snapshot edges are deduplicated (u < v) pairs in pair-word
+            # order: one search maps the forest onto snapshot edge ids.
             n = snapshot.n_vertices
-            keys = snapshot.edge_u * n + snapshot.edge_v
-            eids = np.searchsorted(keys, np.minimum(fu, fv) * n + np.maximum(fu, fv))
+            eids = np.searchsorted(
+                pair_word(snapshot.edge_u, snapshot.edge_v, n),
+                pair_word(np.minimum(fu, fv), np.maximum(fu, fv), n),
+            )
             artifact = artifact_from_result(
                 snapshot, result_from_edge_ids(snapshot, eids), self.algorithm,
                 self.mode, solver="sharded" if self.shards > 0 else None,

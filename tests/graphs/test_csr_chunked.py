@@ -1,4 +1,4 @@
-"""Chunked CSR build: byte-identical to the one-shot lexsort build.
+"""Chunked CSR build: byte-identical to the one-shot build.
 
 The chunked counting-sort construction exists purely to bound peak
 memory; it must never change a single array element.  The checking
@@ -24,16 +24,15 @@ def _family_edgelist(family, size=24, seed=3):
 
 
 def _assert_identical(a: CSRGraph, b: CSRGraph):
+    # dtype and bytes, not np.array_equal: -0.0 == 0.0 would hide a sign flip.
     assert a.n_vertices == b.n_vertices
     assert a.n_edges == b.n_edges
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.edge_ids, b.edge_ids)
-    assert np.array_equal(a.weights, b.weights)
-    assert np.array_equal(a.edge_u, b.edge_u)
-    assert np.array_equal(a.edge_v, b.edge_v)
-    assert np.array_equal(a.edge_w, b.edge_w)
-    assert np.array_equal(a.ranks, b.ranks)
+    for name in (
+        "indptr", "indices", "edge_ids", "weights", "edge_u", "edge_v", "edge_w", "ranks",
+    ):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes(), name
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

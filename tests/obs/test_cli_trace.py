@@ -61,6 +61,39 @@ def test_trace_query_sharded_collects_worker_pids(tmp_path, capsys):
     assert "service.metrics" in doc["otherData"]["metrics"]
 
 
+def _inside(events, parent):
+    """Names of the spans within the first ``parent`` span's interval."""
+    p = next(e for e in events if e["name"] == parent)
+    end = p["ts"] + p["dur"] + 1e-3  # microsecond floats: allow rounding
+    return {e["name"] for e in events
+            if e is not p and e["tid"] == p["tid"]
+            and p["ts"] <= e["ts"] and e["ts"] + e["dur"] <= end}
+
+
+def test_trace_query_attributes_a_load_to_its_stages(tmp_path, capsys):
+    """A cold load saves what it solved; a warm one loads it; both index."""
+    store = tmp_path / "store"
+
+    def traced_query(name):
+        out = tmp_path / name
+        assert main(["trace", "--out", str(out), "query",
+                     "--dataset", "usa-road", "--scale", "8",
+                     "--store", str(store), "--type", "weight"]) == 0
+        return [e for e in _load(out)["traceEvents"] if e["ph"] == "X"]
+
+    cold = traced_query("cold.json")
+    assert "csr:build" in {e["name"] for e in cold}
+    inside = _inside(cold, "service:load_graph")
+    assert {"artifact:fingerprint", "artifact:save", "index:build"} <= inside
+    assert "artifact:load" not in inside
+
+    warm = traced_query("warm.json")
+    inside = _inside(warm, "service:load_graph")
+    assert {"artifact:fingerprint", "artifact:load", "index:build"} <= inside
+    assert "artifact:save" not in inside
+    assert not any(name.startswith("solve:") for name in inside)
+
+
 def test_untraced_run_writes_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["mst", "--algo", "kruskal", "--dataset", "graph500",
