@@ -63,8 +63,8 @@ Examples
     python -m repro load soak --duration 10 --faults artifact-corruption,worker-crash
     python -m repro check --seed 17 --graphs 200 --out-dir counterexamples/
     python -m repro check --self-test
-    python -m repro trace --out t.json query --shards 2 --executor process \\
-        --dataset usa-road --scale 8 --type connected --pairs 0:5
+    python -m repro trace --out t.json query --algo sharded \\
+        --dataset graph500 --scale 10 --type connected --pairs 0:5
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
                       default="auto",
                       help="kernel mode: 'loop' (reference), 'vectorized' "
                            "(array-kernel fast path, where available), or "
-                           "'auto' (default: pick per graph via the "
-                           "calibrated cost model)")
+                           "'auto' (default: pick per graph by the shipped "
+                           "size and degree crossovers)")
     mstp.add_argument("--shards", type=int, default=0, metavar="N",
                       help="solve via the sharded multiprocess coordinator with "
                            "N shards (--algo becomes the per-shard local solver)")
@@ -199,18 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
     queryp.add_argument("--store", type=Path, default=None,
                         help="artifact-store directory (compute-once cache)")
     queryp.add_argument("--algo", default=DEFAULT_ALGORITHM,
-                        help="algorithm for cache misses")
+                        help="algorithm for cache misses ('sharded' runs "
+                             "the sharded coordinator)")
     queryp.add_argument("--mode", choices=("loop", "vectorized", "auto"),
                         default="auto")
-    queryp.add_argument("--shards", type=int, default=0, metavar="N",
-                        help="build cache misses through the sharded coordinator "
-                             "with N shards")
-    queryp.add_argument("--partition", choices=("hash", "range", "block"),
-                        default="hash",
-                        help="edge partition strategy for --shards")
-    queryp.add_argument("--executor", choices=("auto", "process", "serial"),
-                        default="auto",
-                        help="--shards execution mode (see 'mst --executor')")
     queryp.add_argument("--scale", type=int, default=None)
     queryp.add_argument("--seed", type=int, default=0)
     queryp.add_argument("--type", dest="qtype", default=None,
@@ -266,7 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     tadd = tsub.add_parser("add", help="register a tenant with its quota")
     trm = tsub.add_parser("rm", help="remove a tenant and its graphs")
     tlist = tsub.add_parser("list", help="list tenants and their graphs")
-    tstats = tsub.add_parser("stats", help="print live platform statistics")
+    tstats = tsub.add_parser(
+        "stats", help="show each tenant's quota and registered graphs from a "
+                      "fresh boot of the manifest (a session's live counters "
+                      "are what 'serve --multi' prints at exit and writes "
+                      "with --metrics-out)")
     tgraph = tsub.add_parser("add-graph", help="register a graph for a tenant")
     trmgraph = tsub.add_parser("rm-graph", help="remove one tenant graph")
     for p in (tadd, trm, tlist, tstats, tgraph, trmgraph):
@@ -304,11 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     tgraph.add_argument("--source", type=int, default=0,
                         help="with --problem sssp: the solve source vertex")
     tgraph.add_argument("--algo", default=DEFAULT_ALGORITHM,
-                        help="MST algorithm for problem=mst")
+                        help="MST algorithm for problem=mst ('sharded' runs "
+                             "the sharded coordinator)")
     tgraph.add_argument("--mode", choices=("loop", "vectorized", "auto"),
                         default="auto")
-    tgraph.add_argument("--shards", type=int, default=0,
-                        help="solve cold builds through the sharded coordinator")
     trmgraph.add_argument("graph", help="graph name to remove")
     tlist.add_argument("--json", action="store_true",
                        help="print the manifest-backed listing as JSON")
@@ -684,10 +679,10 @@ def _cmd_mst(args: argparse.Namespace) -> int:
     if args.save is not None:
         from repro.service.artifacts import artifact_from_result, save_json_artifact
 
-        artifact = artifact_from_result(
-            g, result, args.algo, args.mode,
-            solver="sharded" if args.shards > 0 else None, shards=args.shards,
-        )
+        # A sharded solve is recorded as the registry's "sharded" solver,
+        # the name a served graph asks for it by.
+        solved_by = "sharded" if args.shards > 0 else args.algo
+        artifact = artifact_from_result(g, result, solved_by, args.mode)
         save_json_artifact(artifact, args.save)
         print(f"saved:     MSF artifact written to {args.save}")
     return 0
@@ -781,15 +776,14 @@ def _problem_params(problem: str, source: int) -> dict:
     return {"source": source} if "source" in problem_info(problem).params else {}
 
 
-def _open_service(args: argparse.Namespace, **mst_options):
+def _open_service(args: argparse.Namespace):
     """The service ``--problem`` names (the MSF service without one)."""
     from repro.service import service_for
 
     problem = args.problem or "mst"
     return service_for(
         problem, args.store, mode=args.mode,
-        params=_problem_params(problem, args.source),
-        algorithm=args.algo, **mst_options,
+        params=_problem_params(problem, args.source), algorithm=args.algo,
     )
 
 
@@ -798,19 +792,15 @@ def _artifact_banner(artifact) -> tuple[str, str]:
     if artifact.problem != "mst":
         scalars = ", ".join(f"{k}={v}" for k, v in sorted(artifact.scalars.items()))
         return artifact.problem, scalars
-    solved_by = artifact.algorithm
-    if artifact.solver:
-        solved_by += f" via {artifact.solver} x{artifact.shards}"
-    return solved_by, (f"forest={artifact.n_forest_edges} edges, "
-                       f"{artifact.n_components} components")
+    return artifact.algorithm, (f"forest={artifact.n_forest_edges} edges, "
+                                f"{artifact.n_components} components")
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
 
     try:
-        svc = _open_service(args, shards=args.shards, partition=args.partition,
-                            executor=args.executor)
+        svc = _open_service(args)
         obs = getattr(args, "obs", None)
         if obs is not None and obs.active:
             from repro.obs import service_metrics_provider
@@ -1141,13 +1131,10 @@ def _cmd_serve_multi(args: argparse.Namespace) -> int:
                 print(f"--- tenant {tname} ---", file=sys.stderr)
                 print(platform.tenant(tname).metrics.render(), file=sys.stderr)
 
-    try:
-        return _serve_jsonl(
-            args, MultiTenantServer(platform, max_batch=args.max_batch),
-            ("tenant", "graph"), report,
-        )
-    finally:
-        platform.close()
+    return _serve_jsonl(
+        args, MultiTenantServer(platform, max_batch=args.max_batch),
+        ("tenant", "graph"), report,
+    )
 
 
 def _cmd_tenant(args: argparse.Namespace) -> int:
@@ -1232,8 +1219,7 @@ def _cmd_tenant(args: argparse.Namespace) -> int:
                 algorithm_info(args.algo)  # validates the solver's name
             graphs[args.graph] = {
                 "source": source, "problem": args.problem,
-                "algorithm": args.algo, "mode": args.mode,
-                "shards": args.shards, "params": params,
+                "algorithm": args.algo, "mode": args.mode, "params": params,
             }
             save_manifest(args.root, manifest)
             print(f"added {args.name}/{args.graph} "
@@ -1248,14 +1234,11 @@ def _cmd_tenant(args: argparse.Namespace) -> int:
             save_manifest(args.root, manifest)
             print(f"removed {args.name}/{args.graph}")
             return 0
-        # stats: materialise the platform (warm from the shared store)
+        # stats: a fresh boot (warm from the shared store), so its request
+        # counters are zero; a session's live ones are serve --multi's.
         from repro.platform import build_platform
 
-        platform = build_platform(args.root)
-        try:
-            stats = platform.stats(args.name)
-        finally:
-            platform.close()
+        stats = build_platform(args.root).stats(args.name)
         if args.json:
             print(_json.dumps(stats, indent=2, sort_keys=True))
         else:
@@ -1278,12 +1261,6 @@ def _print_tenant_stats(stats: dict, name: str | None) -> None:
             print(f"  {gname}: problem={grec['problem']} "
                   f"n={grec['n_vertices']} m={grec['n_edges']} "
                   f"resident={grec['resident']}")
-    pool = stats.get("pool")
-    if pool:
-        print(f"pool: live={pool.get('live_workers', 0)} "
-              f"submitted={pool.get('submitted', 0)} "
-              f"completed={pool.get('completed', 0)} "
-              f"rejected={pool.get('rejected', 0)}")
 
 
 def _cmd_load(args: argparse.Namespace) -> int:

@@ -12,13 +12,14 @@ without a vectorized mode always resolve to ``"loop"``.
 
 The cost model is deliberately tiny: per algorithm, a
 :class:`Crossover` of ``(min_edges, min_avg_degree)`` thresholds that a
-graph must clear for the vectorized mode to be selected.  The defaults
-are measured on the reference machine; :func:`calibrate` re-measures
-them on *this* machine — timing loop vs vectorized on synthetic graphs
-across a degree/size grid — and persists the result to a per-machine
-JSON file (``$REPRO_AUTOTUNE_PATH``, default
-``~/.cache/repro/autotune.json``) that :func:`choose_mode` picks up on
-the next process start.
+graph must clear for the vectorized mode to be selected.  The shipped
+:data:`DEFAULT_CROSSOVERS` are the only input: no per-machine file
+overrides them, so ``auto`` picks the same mode for the same graph
+shape on every host.  :func:`calibrate` re-measures the crossovers on
+the current machine — timing loop vs vectorized on synthetic graphs
+across a degree/size grid — and returns the table, for whoever updates
+the shipped values.  Every mode returns the same forest, so a
+crossover only moves latency.
 
 ``mode="auto"`` is accepted by :func:`repro.mst.registry.get_algorithm`
 for **every** algorithm: loop-only algorithms simply resolve to their
@@ -28,18 +29,12 @@ only mode, so callers (CLI, service, shard workers) can default to
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 __all__ = [
     "Crossover",
     "DEFAULT_CROSSOVERS",
-    "autotune_path",
-    "load_crossovers",
-    "invalidate_cache",
     "choose_mode",
     "calibrate",
 ]
@@ -60,8 +55,7 @@ class Crossover:
     min_avg_degree: float
 
 
-# Measured on the reference machine (single core, NumPy BLAS defaults);
-# calibrate() overrides these with this machine's own measurements.
+# Measured on the reference machine (single core, NumPy BLAS defaults).
 DEFAULT_CROSSOVERS: Dict[str, Crossover] = {
     # argmin-Prim: O(n) scan per pop needs dense graphs to amortize.
     # Vectorized speed over loop on G(n, m) with m = 60,000 and
@@ -81,56 +75,6 @@ DEFAULT_CROSSOVERS: Dict[str, Crossover] = {
     "parallel-boruvka": Crossover(min_edges=16, min_avg_degree=0.0),
 }
 
-_cached: Optional[Dict[str, Crossover]] = None
-_cached_path: Optional[str] = None
-
-
-def autotune_path() -> Path:
-    """The per-machine calibration file (env-overridable for tests)."""
-    env = os.environ.get("REPRO_AUTOTUNE_PATH")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro" / "autotune.json"
-
-
-def invalidate_cache() -> None:
-    """Drop the in-process crossover cache (tests, post-calibration)."""
-    global _cached, _cached_path
-    _cached = None
-    _cached_path = None
-
-
-def load_crossovers(path: Path | None = None) -> Dict[str, Crossover]:
-    """Defaults overlaid with this machine's calibration file, memoized.
-
-    Unknown algorithms, ``_``-prefixed keys and malformed entries in the
-    file are ignored — a stale or hand-edited calibration can narrow
-    behaviour but never break a solve.
-    """
-    global _cached, _cached_path
-    p = path or autotune_path()
-    key = str(p)
-    if _cached is not None and _cached_path == key:
-        return _cached
-    table = dict(DEFAULT_CROSSOVERS)
-    try:
-        payload = json.loads(p.read_text())
-    except (OSError, ValueError):
-        payload = {}
-    for name, rec in payload.items() if isinstance(payload, dict) else ():
-        if name.startswith("_") or name not in table:
-            continue
-        try:
-            table[name] = Crossover(
-                min_edges=int(rec["min_edges"]),
-                min_avg_degree=float(rec["min_avg_degree"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            continue
-    _cached, _cached_path = table, key
-    return table
-
-
 def choose_mode(name: str, n_vertices: int, n_edges: int) -> str:
     """The kernel mode ``mode="auto"`` resolves to for this graph shape.
 
@@ -141,7 +85,7 @@ def choose_mode(name: str, n_vertices: int, n_edges: int) -> str:
 
     if not algorithm_info(name).has_vectorized:
         return "loop"
-    cross = load_crossovers().get(name)
+    cross = DEFAULT_CROSSOVERS.get(name)
     if cross is None:
         return "loop"
     if n_edges < cross.min_edges:
@@ -169,23 +113,21 @@ def calibrate(
     *,
     seed: int = 0,
     repeats: int = 3,
-    path: Path | None = None,
-    persist: bool = True,
 ) -> Dict[str, Crossover]:
-    """Measure this machine's crossovers and (optionally) persist them.
+    """Measure this machine's crossovers and return them as a table.
 
     For each calibratable algorithm, times loop vs vectorized on
     ``gnm`` graphs across a measurement grid and records the smallest
     point where vectorized wins: a degree sweep for ``prim`` (its
     crossover is a density), an edge-count sweep for the Boruvka family
     (their crossover is a size).  An algorithm whose vectorized mode
-    never wins on the grid keeps an unreachable threshold, so ``auto``
-    will not regress it.
+    never wins on the grid gets an unreachable threshold.  Algorithms
+    not measured keep their shipped crossover in the returned table.
     """
     from repro.graphs.generators.random_graphs import gnm_random_graph
 
     names = list(algorithms) if algorithms is not None else sorted(DEFAULT_CROSSOVERS)
-    table = dict(load_crossovers(path))
+    table = dict(DEFAULT_CROSSOVERS)
     for name in names:
         if name not in DEFAULT_CROSSOVERS:
             continue
@@ -216,16 +158,4 @@ def calibrate(
                     min_edges = m
                     break
             table[name] = Crossover(min_edges=min_edges, min_avg_degree=0.0)
-    if persist:
-        p = path or autotune_path()
-        p.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            name: {
-                "min_edges": cross.min_edges,
-                "min_avg_degree": cross.min_avg_degree,
-            }
-            for name, cross in table.items()
-        }
-        p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    invalidate_cache()
     return table

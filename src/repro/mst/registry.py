@@ -74,6 +74,17 @@ class AlgorithmInfo:
         return "vectorized" in self.modes
 
 
+def _sharded(g: CSRGraph, **kwargs) -> MSTResult:
+    """:func:`repro.shard.coordinator.sharded_mst`, imported on first call.
+
+    The shard subsystem (arenas, worker pool, merge tree) loads only in
+    processes that ask for ``"sharded"``, not on every registry lookup.
+    """
+    from repro.shard.coordinator import sharded_mst
+
+    return sharded_mst(g, **kwargs)
+
+
 def _register() -> None:
     from repro.mst.boruvka import boruvka
     from repro.mst.ghs import ghs
@@ -85,7 +96,6 @@ def _register() -> None:
     from repro.mst.parallel_boruvka import parallel_boruvka
     from repro.mst.prim import prim
     from repro.mst.prim_lazy import prim_lazy
-    from repro.shard.coordinator import sharded_mst
 
     _SEQUENTIAL.update(
         {
@@ -99,7 +109,7 @@ def _register() -> None:
             # Partition → per-process local solves → merge tree; registered
             # sequential because the coordinator itself runs in-process (the
             # parallelism lives in its worker processes, not a Backend).
-            "sharded": sharded_mst,
+            "sharded": _sharded,
         }
     )
     _PARALLEL.update(

@@ -1,13 +1,13 @@
-"""Multi-tenant graph platform: named graphs, shared workers, quotas.
+"""Multi-tenant graph platform: named graphs, quotas, one artifact store.
 
 The serving layers below this package each manage one graph for one
 caller.  :mod:`repro.platform` turns them into a platform: a
 :class:`GraphPlatform` registry maps ``tenant/graph`` names to
-content-addressed artifacts and resident service instances, a shared
-:class:`WorkerPool` with admission control executes every sharded
-solve, and per-tenant :class:`TenantQuota` limits (resident graphs,
-queue depth, request rate) reject excess load with structured
-429-style errors.  :class:`MultiTenantServer` is the asyncio front door
+content-addressed artifacts and resident service instances, and
+per-tenant :class:`TenantQuota` limits (resident graphs, queue depth,
+request rate) reject excess load with structured 429-style errors.
+:class:`WorkerPool` is the process pool the sharded coordinator runs
+its shard workers in.  :class:`MultiTenantServer` is the asyncio front door
 (``repro serve --multi``); the manifest helpers make the whole
 configuration restartable from ``platform.json``.
 """

@@ -15,7 +15,7 @@ Schema (version 1)::
          "graphs": {
            "roads": {"source": {"path": "data/roads.gr"},
                      "problem": "mst", "algorithm": "parallel-boruvka",
-                     "mode": "auto", "shards": 0, "params": {}},
+                     "mode": "auto", "params": {}},
            "mesh":  {"source": {"kind": "gnm", "n": 1000, "m": 4000,
                      "seed": 7}, "problem": "sssp",
                      "params": {"source": 0}, ...}}}}}
@@ -141,29 +141,26 @@ def build_platform(root: str | Path):
     persisted quota, and re-adds every graph from its source spec — warm
     artifacts come straight from the content-addressed store under the
     same root, so restart cost is dominated by graph I/O, not solves.
+    A ``"shards"`` key in a graph record (written by older versions) is
+    ignored: such a graph solves with its recorded ``algorithm``.
     """
     from repro.platform.registry import GraphPlatform
 
     manifest = load_manifest(root)
     platform = GraphPlatform(root)
-    try:
-        for tname, trec in sorted(manifest["tenants"].items()):
-            quota = TenantQuota.from_dict(trec.get("quota") or {})
-            platform.add_tenant(tname, quota)
-            for gname, grec in sorted((trec.get("graphs") or {}).items()):
-                g = graph_from_spec(grec.get("source") or {})
-                platform.add_graph(
-                    tname, gname, g,
-                    problem=grec.get("problem", "mst"),
-                    algorithm=grec.get("algorithm", DEFAULT_ALGORITHM),
-                    mode=grec.get("mode", "auto"),
-                    shards=int(grec.get("shards", 0)),
-                    source_spec=grec.get("source"),
-                    **(grec.get("params") or {}),
-                )
-    except BaseException:
-        platform.close()
-        raise
+    for tname, trec in sorted(manifest["tenants"].items()):
+        quota = TenantQuota.from_dict(trec.get("quota") or {})
+        platform.add_tenant(tname, quota)
+        for gname, grec in sorted((trec.get("graphs") or {}).items()):
+            g = graph_from_spec(grec.get("source") or {})
+            platform.add_graph(
+                tname, gname, g,
+                problem=grec.get("problem", "mst"),
+                algorithm=grec.get("algorithm", DEFAULT_ALGORITHM),
+                mode=grec.get("mode", "auto"),
+                source_spec=grec.get("source"),
+                **(grec.get("params") or {}),
+            )
     return platform
 
 
@@ -186,7 +183,6 @@ def platform_to_manifest(platform) -> dict:
                 "problem": entry.problem,
                 "algorithm": entry.algorithm,
                 "mode": entry.mode,
-                "shards": entry.shards,
                 "params": dict(entry.params),
             }
         tenants[tname] = {"quota": state.quota.to_dict(), "graphs": graphs}

@@ -1,11 +1,12 @@
-"""`GraphPlatform` — many named graphs, many tenants, one worker budget.
+"""`GraphPlatform` — many named graphs, many tenants, one artifact store.
 
 The single-graph services (:class:`~repro.service.core.MSTService`,
 :class:`~repro.solve.service.ProblemService`) promoted to a resident
 platform: a registry maps ``tenant/graph`` names to content-addressed
-artifacts and live service instances, admission control enforces each
-tenant's :class:`~repro.platform.quota.TenantQuota`, and every sharded
-solve draws from one shared :class:`~repro.platform.pool.WorkerPool`.
+artifacts and live service instances, and admission control enforces
+each tenant's :class:`~repro.platform.quota.TenantQuota`.  A graph asks
+for the sharded solver by name (``algorithm="sharded"``), like any
+other.
 
 Residency is two-tier, mirroring the artifact design: *registration*
 (the entry, its graph arrays, its on-disk artifact) is bounded by the
@@ -34,7 +35,6 @@ from repro.errors import QuotaExceededError, ServiceError
 from repro.graphs.csr import CSRGraph
 from repro.mst.registry import DEFAULT_ALGORITHM
 from repro.obs.trace import span as _obs_span
-from repro.platform.pool import WorkerPool
 from repro.platform.quota import (
     DEFAULT_QUOTA,
     TenantQuota,
@@ -52,18 +52,17 @@ __all__ = ["GraphEntry", "TenantState", "GraphPlatform"]
 class GraphEntry:
     """One named graph's registration inside a tenant."""
 
-    __slots__ = ("tenant", "name", "problem", "algorithm", "mode", "shards",
+    __slots__ = ("tenant", "name", "problem", "algorithm", "mode",
                  "params", "source", "service", "last_used")
 
     def __init__(self, tenant: str, name: str, *, problem: str,
-                 algorithm: str, mode: Optional[str], shards: int,
+                 algorithm: str, mode: Optional[str],
                  params: dict, source: Optional[dict], service) -> None:
         self.tenant = tenant
         self.name = name
         self.problem = problem
         self.algorithm = algorithm
         self.mode = mode
-        self.shards = shards
         self.params = params
         self.source = source or {}
         self.service = service
@@ -117,22 +116,19 @@ class TenantState:
 
 
 class GraphPlatform:
-    """The multi-tenant registry: named graphs over one shared pool.
+    """The multi-tenant registry: named graphs over one artifact store.
 
     ``root`` is the platform's state directory — the one
     content-addressed artifact store lives at ``<root>/store/`` and holds
     every tenant's MSF and problem artifacts (two tenants registering
     byte-identical graphs share one artifact); ``None`` keeps everything
-    in memory.  The platform's :class:`~repro.platform.pool.WorkerPool`
-    starts on the first sharded solve.  ``clock`` drives the tenants'
-    token buckets.
+    in memory.  ``clock`` drives the tenants' token buckets.
     """
 
     def __init__(self, root: str | Path | None = None, *,
                  clock=time.monotonic) -> None:
         self.root = Path(root) if root is not None else None
         self._clock = clock
-        self._pool: Optional[WorkerPool] = None
         self._lock = threading.RLock()
         self._tenants: Dict[str, TenantState] = {}
         self._seq = itertools.count(1)
@@ -141,31 +137,6 @@ class GraphPlatform:
             from repro.service.artifacts import ArtifactStore
 
             self._store = ArtifactStore(self.root / "store")
-
-    # ------------------------------------------------------------------
-    # Shared resources
-    # ------------------------------------------------------------------
-    @property
-    def pool(self) -> WorkerPool:
-        """The shared worker pool, created lazily on first use.
-
-        After :meth:`close` it is the closed pool, which refuses jobs.
-        """
-        with self._lock:
-            if self._pool is None:
-                self._pool = WorkerPool(name="platform")
-            return self._pool
-
-    def close(self) -> None:
-        """Stop the worker pool; its counters stay readable for metrics."""
-        if self._pool is not None:
-            self._pool.close()
-
-    def __enter__(self) -> "GraphPlatform":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Tenants
@@ -215,14 +186,14 @@ class GraphPlatform:
         problem: str = "mst",
         algorithm: str = DEFAULT_ALGORITHM,
         mode: Optional[str] = "auto",
-        shards: int = 0,
         source_spec: Optional[dict] = None,
         **params,
     ) -> GraphEntry:
         """Register ``tenant/name`` and solve (or warm-load) its artifact.
 
         ``problem`` is ``"mst"`` or any registered problem name (the
-        entry then serves that problem's query kinds).  Rejects past the
+        entry then serves that problem's query kinds); an MST entry
+        solves with ``algorithm``.  Rejects past the
         tenant's ``max_graphs`` quota with a structured
         :class:`~repro.errors.QuotaExceededError`; within it, the solve
         runs immediately — cold builds are an *admin* operation, kept off
@@ -241,13 +212,12 @@ class GraphPlatform:
                            graph=name, problem=problem):
                 service = service_for(
                     problem, self._store, mode=mode, metrics=state.metrics,
-                    params=params, algorithm=algorithm, shards=shards,
-                    pool=self.pool if shards > 0 else None,
+                    params=params, algorithm=algorithm,
                 )
                 service.load_graph(g)
             entry = GraphEntry(
                 tenant, name, problem=problem, algorithm=algorithm,
-                mode=mode, shards=shards, params=params, source=source_spec,
+                mode=mode, params=params, source=source_spec,
                 service=service,
             )
             entry.last_used = next(self._seq)
@@ -385,19 +355,16 @@ class GraphPlatform:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self, tenant: str | None = None) -> dict:
-        """JSON-able platform counters (one tenant, or all + the pool)."""
+        """JSON-able platform counters (one tenant, or all)."""
         with self._lock:
             if tenant is not None:
                 return self.tenant(tenant).to_dict()
-            out = {
+            return {
                 "tenants": {n: s.to_dict() for n, s in sorted(self._tenants.items())},
             }
-            if self._pool is not None:
-                out["pool"] = self._pool.stats()
-            return out
 
     def metrics_providers(self) -> dict:
-        """Named obs providers: one per tenant, plus the pool's counters.
+        """Named obs providers, one per tenant.
 
         Register them on a :class:`~repro.obs.MetricsRegistry` (the CLI's
         ``--trace`` path does) so the flat metrics snapshot carries
@@ -406,11 +373,7 @@ class GraphPlatform:
         from repro.obs.registry import service_metrics_provider
 
         with self._lock:
-            providers = {
+            return {
                 f"platform.tenant.{name}": service_metrics_provider(state.metrics)
                 for name, state in sorted(self._tenants.items())
             }
-        providers["platform.pool"] = lambda: (
-            self._pool.stats() if self._pool is not None else {}
-        )
-        return providers

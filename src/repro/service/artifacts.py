@@ -12,7 +12,7 @@ Two artifact kinds share one store, one atomic writer and one reader:
 * :class:`MSFArtifact` — the forest edges alone; the
   :class:`~repro.graphs.tree_queries.ForestPathMax` path-max index is
   derived data, built from them whenever an engine serves the artifact;
-  addressed by :func:`graph_fingerprint` (graph + algorithm/mode/solver);
+  addressed by :func:`graph_fingerprint` (graph + algorithm/mode);
 * :class:`ProblemArtifact` — one solved registered problem (SSSP
   distances + canonical parents, CC labels, ...), its arrays checked
   against the problem's registry schema; addressed by
@@ -74,7 +74,9 @@ __all__ = [
 
 MST = "mst"
 # One layout version per kind.  MSF layout 2 added the shared ``problem``
-# header; layout 3 dropped the stored path-max index.  The problem layout
+# header; layout 3 dropped the stored path-max index.  Older layout-3
+# files also hold ``solver``/``shards`` members; the reader takes only the
+# members it names, so they still load warm.  The problem layout
 # is unchanged since its introduction, so problem files written before
 # the stores merged (and before the writer stopped compressing) still
 # load warm.
@@ -106,39 +108,25 @@ def update_graph_hash(h, g: CSRGraph) -> None:
             h.update(np.ascontiguousarray(g.edge_w, dtype="<f8").tobytes())
 
 
-def graph_fingerprint(
-    g: CSRGraph,
-    algorithm: str,
-    mode: str | None = None,
-    *,
-    solver: str | None = None,
-    shards: int = 0,
-) -> str:
-    """SHA-256 content address of ``(graph bytes, algorithm, mode, solver)``.
+def graph_fingerprint(g: CSRGraph, algorithm: str, mode: str | None = None) -> str:
+    """SHA-256 content address of ``(graph bytes, algorithm, mode)``.
 
     Hashes the canonical edge arrays byte-exactly, so any change to the
-    vertex count, topology, or weights — and any change of solver — maps
-    to a different address.  Deterministic across processes and platforms
-    (fixed dtypes, little-endian byte order).
+    vertex count, topology, or weights — and any change of algorithm —
+    maps to a different address.  Deterministic across processes and
+    platforms (fixed dtypes, little-endian byte order).
 
     Integer weights are hashed in their native int64 representation
     (plus a dtype tag): funnelling them through float64 would collide
     distinct weights beyond 2**53, silently serving one graph's forest
     for another.  Float graphs hash exactly as before, so existing
     stores stay warm.
-
-    ``solver``/``shards`` record *execution* provenance (e.g. the sharded
-    multiprocess coordinator wrapping ``algorithm`` as its local solver);
-    they enter the hash only when a solver is named, so every pre-existing
-    fingerprint — and therefore every warm store — is unchanged.
     """
     h = hashlib.sha256()
     h.update(_FINGERPRINT_SALT)
     update_graph_hash(h, g)
     h.update(algorithm.encode())
     h.update((mode or "default").encode())
-    if solver is not None:
-        h.update(f"solver:{solver}:{int(shards)}".encode())
     return h.hexdigest()
 
 
@@ -169,16 +157,14 @@ def artifact_fingerprint(
     *,
     algorithm: str = DEFAULT_ALGORITHM,
     params: dict | None = None,
-    shards: int = 0,
 ) -> str:
     """The store address of ``g`` solved for ``problem`` (either kind).
 
-    ``algorithm``/``shards`` name the MST solve (``problem="mst"``),
-    ``params`` a registered problem's.
+    ``algorithm`` names the MST solve (``problem="mst"``), ``params`` a
+    registered problem's.
     """
     if problem == MST:
-        solver = "sharded" if shards > 0 else None
-        return graph_fingerprint(g, algorithm, mode, solver=solver, shards=shards)
+        return graph_fingerprint(g, algorithm, mode)
     return problem_fingerprint(g, problem, mode, params)
 
 
@@ -205,11 +191,6 @@ class MSFArtifact:
     msf_edge_ids: np.ndarray
     total_weight: float | int
     n_components: int
-    # Execution provenance: which engine ran ``algorithm`` and at what
-    # shard count (``solver="sharded"``, ``shards=4``).  ``None``/``0``
-    # means the plain in-process path.
-    solver: Optional[str] = None
-    shards: int = 0
 
     @property
     def n_forest_edges(self) -> int:
@@ -225,8 +206,6 @@ class MSFArtifact:
         return {
             "algorithm": np.str_(self.algorithm),
             "n_components": np.int64(self.n_components),
-            "solver": np.str_(self.solver or ""),
-            "shards": np.int64(self.shards),
             # int totals persist as int64 (exact); floats as float64.
             "total_weight": np.asarray(self.total_weight),
             "msf_u": self.msf_u,
@@ -247,8 +226,6 @@ class MSFArtifact:
             msf_edge_ids=np.array(data["msf_edge_ids"], dtype=np.int64),
             total_weight=np.asarray(data["total_weight"]).item(),
             n_components=int(data["n_components"]),
-            solver=str(data["solver"].item()) or None,
-            shards=int(data["shards"]),
         )
 
     def _validate(self, path) -> None:
@@ -338,17 +315,14 @@ def artifact_from_result(
     algorithm: str,
     mode: str | None = None,
     *,
-    solver: str | None = None,
-    shards: int = 0,
     fingerprint: str | None = None,
 ) -> MSFArtifact:
     """Package an already-computed :class:`MSTResult` as an artifact.
 
     Used both by :func:`solve_artifact` and by the CLI's ``mst --save``
     (which has the result in hand and should not pay for a second solve).
-    ``solver``/``shards`` stamp execution provenance into the artifact and
-    its fingerprint; ``fingerprint`` skips re-hashing the graph when the
-    caller already has the address.
+    ``fingerprint`` skips re-hashing the graph when the caller already
+    has the address.
     """
     eids = np.asarray(result.edge_ids, dtype=np.int64)
     order = np.argsort(g.ranks[eids], kind="stable") if eids.size else eids
@@ -361,8 +335,7 @@ def artifact_from_result(
     int_w = fw.dtype.kind in "iu"
     total = int(fw.sum()) if int_w else float(result.total_weight)
     return MSFArtifact(
-        fingerprint=fingerprint
-        or graph_fingerprint(g, algorithm, mode, solver=solver, shards=shards),
+        fingerprint=fingerprint or graph_fingerprint(g, algorithm, mode),
         algorithm=algorithm,
         mode=mode,
         n_vertices=g.n_vertices,
@@ -372,8 +345,6 @@ def artifact_from_result(
         msf_edge_ids=eids,
         total_weight=total,
         n_components=int(result.n_components),
-        solver=solver,
-        shards=shards,
     )
 
 
@@ -384,25 +355,18 @@ def solve_artifact(
     *,
     algorithm: str = DEFAULT_ALGORITHM,
     params: dict | None = None,
-    shards: int = 0,
     fingerprint: str | None = None,
     backend=None,
-    partition: str = "hash",
-    executor: str = "auto",
-    pool=None,
 ):
     """Solve ``g`` for ``problem`` and package the artifact.
 
     The one place that tells an MST solve from a registered problem's:
     the store's miss path, an in-memory service's loads and
     ``repro solve`` all come through here.  ``problem="mst"`` runs the
-    MST registry ``algorithm``; ``shards > 0`` routes it through the
-    sharded multiprocess coordinator with ``algorithm``/``mode`` as the
-    per-shard local solver (``partition``, ``executor`` and a shared
-    ``pool`` steer that run), and the artifact
-    records ``solver="sharded"`` provenance.  Any other name runs that
-    registered problem with ``params``.  ``fingerprint`` is the address
-    when the caller already hashed the graph.
+    MST registry ``algorithm`` (``"sharded"`` is the sharded
+    multiprocess coordinator); any other name runs that registered
+    problem with ``params``.  ``fingerprint`` is the address when the
+    caller already hashed the graph.
     """
     if problem != MST:
         from repro.solve.registry import get_problem
@@ -417,17 +381,6 @@ def solve_artifact(
             arrays={k: np.asarray(v) for k, v in result.arrays().items()},
             scalars=dict(result.scalars()),
             params=params,
-        )
-    if shards > 0:
-        from repro.shard.coordinator import sharded_mst
-
-        result = sharded_mst(
-            g, n_shards=shards, partition=partition, algorithm=algorithm,
-            mode=mode, executor=executor, pool=pool,
-        )
-        return artifact_from_result(
-            g, result, algorithm, mode, solver="sharded", shards=shards,
-            fingerprint=fingerprint,
         )
     from repro.mst.registry import get_algorithm
 
@@ -542,8 +495,6 @@ def save_json_artifact(artifact: MSFArtifact, path: str | Path) -> None:
         "mode": artifact.mode,
         "n_vertices": artifact.n_vertices,
         "n_components": artifact.n_components,
-        "solver": artifact.solver,
-        "shards": artifact.shards,
         "weight_dtype": "int64" if int_w else "float64",
         "total_weight": scal(artifact.total_weight),
         "edges": [
@@ -588,9 +539,6 @@ def load_json_artifact(path: str | Path) -> MSFArtifact:
             msf_edge_ids=np.array(payload["edge_ids"], dtype=np.int64),
             total_weight=w_scal(payload["total_weight"]),
             n_components=int(payload["n_components"]),
-            # Absent in pre-provenance dumps: default to the plain path.
-            solver=payload.get("solver"),
-            shards=int(payload.get("shards") or 0),
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ServiceError(f"corrupted JSON artifact {path}: {exc}") from exc
@@ -631,21 +579,18 @@ class ArtifactStore:
         *,
         algorithm: str = DEFAULT_ALGORITHM,
         params: dict | None = None,
-        shards: int = 0,
-        **execution,
+        backend=None,
     ):
         """Serve ``g``'s artifact, solving and persisting it on a miss.
 
         Returns ``(artifact, cache_hit)``.  ``problem``, ``mode``,
-        ``algorithm``, ``params`` and ``shards`` name the artifact (see
-        :func:`artifact_fingerprint`); ``execution`` (``backend``,
-        ``partition``, ``executor``, ``pool``) only steers a
-        miss's :func:`solve_artifact`.  A corrupted or
-        version-incompatible cached file counts as a miss: it is
-        recomputed and overwritten (graceful degradation), never raised
-        out of this method.
+        ``algorithm`` and ``params`` name the artifact (see
+        :func:`artifact_fingerprint`); ``backend`` only steers a miss's
+        :func:`solve_artifact`.  A corrupted or version-incompatible
+        cached file counts as a miss: it is recomputed and overwritten
+        (graceful degradation), never raised out of this method.
         """
-        recipe = {"algorithm": algorithm, "params": params, "shards": shards}
+        recipe = {"algorithm": algorithm, "params": params}
         fingerprint = artifact_fingerprint(g, problem, mode, **recipe)
         path = self.path_for(fingerprint)
         if path.exists():
@@ -657,7 +602,7 @@ class ArtifactStore:
                 self.corrupt_replaced += 1
         self.misses += 1
         artifact = solve_artifact(
-            g, problem, mode, fingerprint=fingerprint, **recipe, **execution
+            g, problem, mode, fingerprint=fingerprint, backend=backend, **recipe
         )
         self.save(artifact)
         return artifact, False

@@ -212,31 +212,13 @@ class MSTService(ArtifactService):
         mode: str | None = "auto",
         backend=None,
         metrics: ServiceMetrics | None = None,
-        shards: int = 0,
-        partition: str = "hash",
-        executor: str = "auto",
-        pool=None,
     ) -> None:
         super().__init__(store, mode=mode, backend=backend, metrics=metrics)
         self.algorithm = algorithm
-        # shards > 0 opts cold builds into the sharded multiprocess
-        # coordinator (repro.shard); warm loads and queries are unaffected.
-        # executor picks the coordinator's execution mode ("auto" lets it
-        # decide; "process"/"serial" force worker processes on or off).
-        # pool routes sharded builds through a shared WorkerPool (the
-        # multi-tenant platform's) instead of an ephemeral one.
-        self.shards = int(shards)
-        self.partition = partition
-        self.executor = executor
-        self.pool = pool
         self._dyn: Optional[DynamicMSF] = None
 
     def _recipe(self) -> dict:
-        return {
-            "algorithm": self.algorithm, "shards": self.shards,
-            "partition": self.partition, "executor": self.executor,
-            "pool": self.pool,
-        }
+        return {"algorithm": self.algorithm}
 
     def _serve(self, artifact, graph: Optional[CSRGraph]) -> None:
         self._dyn = None
@@ -348,9 +330,8 @@ class MSTService(ArtifactService):
                 pair_word(np.minimum(fu, fv), np.maximum(fu, fv), n),
             )
             artifact = artifact_from_result(
-                snapshot, result_from_edge_ids(snapshot, eids), self.algorithm,
-                self.mode, solver="sharded" if self.shards > 0 else None,
-                shards=self.shards,
+                snapshot, result_from_edge_ids(snapshot, eids),
+                self.algorithm, self.mode,
             )
             if self.store is not None:
                 self.store.save(artifact)
@@ -372,17 +353,17 @@ def service_for(
     mode: str | None = "auto",
     metrics: ServiceMetrics | None = None,
     params: dict | None = None,
-    **mst_options,
+    algorithm: str = DEFAULT_ALGORITHM,
 ) -> ArtifactService:
     """The service hosting ``problem`` — the one place that picks it.
 
-    ``"mst"`` gets an :class:`MSTService` built with ``mst_options``
-    (``algorithm``, ``shards``, ``pool``, ...); any registered
-    problem gets a :class:`~repro.solve.service.ProblemService` solving
-    with ``params``.  Options of the other kind are ignored.
+    ``"mst"`` gets an :class:`MSTService` solving with ``algorithm``
+    (``"sharded"`` for the sharded coordinator); any registered problem
+    gets a :class:`~repro.solve.service.ProblemService` solving with
+    ``params``.  The option of the other kind is ignored.
     """
     if problem == MST:
-        return MSTService(store, mode=mode, metrics=metrics, **mst_options)
+        return MSTService(store, algorithm=algorithm, mode=mode, metrics=metrics)
     from repro.solve.service import ProblemService
 
     return ProblemService(

@@ -85,7 +85,6 @@ def sharded_mst(
     max_concurrent: int | None = None,
     arena_backing: str = "auto",
     spool_dir: str | None = None,
-    pool=None,
 ) -> MSTResult:
     """Partition, solve shards (in processes where worthwhile), and merge.
 
@@ -114,12 +113,6 @@ def sharded_mst(
     arena lives — ``"shm"`` (/dev/shm), ``"file"`` (a spool file under
     ``spool_dir``, for arenas larger than shared memory), or ``"auto"``
     (file only when /dev/shm cannot hold the arena comfortably).
-
-    ``pool`` is an optional shared
-    :class:`~repro.platform.pool.WorkerPool`: when given, shard attempts
-    are submitted to it instead of an ephemeral per-call pool, so every
-    sharded solve on a platform draws from one admission-controlled
-    worker budget.
     """
     if algorithm == "sharded":
         raise BenchmarkError("sharded cannot recurse into itself as a local solver")
@@ -189,7 +182,6 @@ def sharded_mst(
                         fault=fault, stats=stats,
                         max_concurrent=max_concurrent,
                         arena_backing=arena_backing, spool_dir=spool_dir,
-                        pool=pool,
                     )
                 stats["executor"] = "process"  # type: ignore[assignment]
             except ServiceError:
@@ -303,22 +295,19 @@ def _solve_in_processes(
     max_concurrent: int | None = None,
     arena_backing: str = "auto",
     spool_dir: str | None = None,
-    pool=None,
 ) -> List[np.ndarray]:
     """Run every shard as a worker-pool job; retry, time out, fall back.
 
     ``labels`` (Boruvka-filter contraction roots) ride in the arena so
     workers get them zero-copy alongside the edge arrays.  Raises
     :class:`~repro.errors.ServiceError` only when the process machinery
-    itself is unusable — the pool cannot spawn workers, is saturated, or
-    was closed under us (caller degrades to serial); individual job
-    failures are retried and, past ``max_retries``, solved in process so
-    the solve always completes.
+    itself is unusable — the pool cannot spawn workers or is saturated
+    (caller degrades to serial); individual job failures are retried
+    and, past ``max_retries``, solved in process so the solve always
+    completes.
 
-    ``pool`` routes shard attempts through a shared
-    :class:`~repro.platform.pool.WorkerPool` (the platform's); without
-    one an ephemeral pool sized to the concurrency limit is created and
-    torn down around this solve — the historical per-call behaviour.
+    Each solve runs its own :class:`~repro.platform.pool.WorkerPool`,
+    sized to the concurrency limit and torn down around the solve.
     Retry accounting stays here, not in the pool: each attempt is
     submitted with the pool's retries off and an incremented
     :class:`~repro.shard.worker.ShardTask` attempt, which is what keeps
@@ -351,7 +340,15 @@ def _solve_in_processes(
     stats["arena_backing"] = backing  # type: ignore[assignment]
 
     limit = plan.n_shards if max_concurrent is None else max(1, int(max_concurrent))
-    own_pool = pool is None
+    try:
+        pool = WorkerPool(
+            max_workers=min(limit, plan.n_shards),
+            max_pending=plan.n_shards * (max_retries + 1) + 1,
+            name="shard",
+        )
+    except OSError as exc:  # reactor thread refused
+        arena.close()
+        raise ServiceError(f"cannot start shard worker pool: {exc}") from exc
     forests: Dict[int, np.ndarray] = {}
     fallback: List[int] = []
     inflight: Dict[object, tuple] = {}  # future -> (shard, attempt)
@@ -379,15 +376,6 @@ def _solve_in_processes(
             fallback.append(shard)
 
     try:
-        if own_pool:
-            try:
-                pool = WorkerPool(
-                    max_workers=min(limit, plan.n_shards),
-                    max_pending=plan.n_shards * (max_retries + 1) + 1,
-                    name="shard",
-                )
-            except OSError as exc:  # reactor thread refused
-                raise ServiceError(f"cannot start shard worker pool: {exc}") from exc
         pending = deque(range(plan.n_shards))
         while pending and len(inflight) < limit:
             _submit(pending.popleft(), 0)
@@ -416,12 +404,11 @@ def _solve_in_processes(
             while pending and len(inflight) < limit:
                 _submit(pending.popleft(), 0)
     except PoolError as exc:
-        # submit() itself rejected (pool closed or saturated): the
-        # solve still completes, just without processes.
+        # submit() itself rejected (pool saturated): the solve still
+        # completes, just without processes.
         raise ServiceError(f"shard worker pool unavailable: {exc}") from exc
     finally:
-        if own_pool and pool is not None:
-            pool.close()
+        pool.close()
         arena.close()
 
     for shard in fallback:

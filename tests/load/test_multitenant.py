@@ -28,11 +28,11 @@ def _accounting_ok(rec: dict) -> bool:
 
 
 def test_single_tenant_accounting_invariant():
-    with GraphPlatform() as platform:
-        platform.add_tenant("solo")
-        platform.add_graph("solo", "g", gnm_random_graph(100, 300, seed=2))
-        result = run_multitenant(
-            platform, [TenantLoad("solo", "g", _scenario())])
+    platform = GraphPlatform()
+    platform.add_tenant("solo")
+    platform.add_graph("solo", "g", gnm_random_graph(100, 300, seed=2))
+    result = run_multitenant(
+        platform, [TenantLoad("solo", "g", _scenario())])
     rec = result.tenants["solo"].to_dict()
     assert _accounting_ok(rec)
     assert rec["offered"] > 0
@@ -42,17 +42,17 @@ def test_single_tenant_accounting_invariant():
 
 
 def test_hot_tenant_sheds_cold_tenant_does_not():
-    with GraphPlatform() as platform:
-        platform.add_tenant("cold", TenantQuota(rate_qps=0.0))
-        platform.add_tenant("hot", TenantQuota(rate_qps=20.0, burst=5.0))
-        g = gnm_random_graph(100, 300, seed=2)
-        platform.add_graph("cold", "g", g)
-        platform.add_graph("hot", "g", g)
-        result = run_multitenant(platform, [
-            TenantLoad("cold", "g", _scenario(rate_qps=150.0)),
-            TenantLoad("hot", "g", _scenario(rate_qps=800.0, seed=12,
-                                             arrival="poisson")),
-        ])
+    platform = GraphPlatform()
+    platform.add_tenant("cold", TenantQuota(rate_qps=0.0))
+    platform.add_tenant("hot", TenantQuota(rate_qps=20.0, burst=5.0))
+    g = gnm_random_graph(100, 300, seed=2)
+    platform.add_graph("cold", "g", g)
+    platform.add_graph("hot", "g", g)
+    result = run_multitenant(platform, [
+        TenantLoad("cold", "g", _scenario(rate_qps=150.0)),
+        TenantLoad("hot", "g", _scenario(rate_qps=800.0, seed=12,
+                                         arrival="poisson")),
+    ])
     cold = result.tenants["cold"].to_dict()
     hot = result.tenants["hot"].to_dict()
     assert _accounting_ok(cold) and _accounting_ok(hot)
@@ -66,15 +66,15 @@ def test_hot_tenant_sheds_cold_tenant_does_not():
 
 def test_op_map_drives_problem_tenants():
     """SSSP graphs are loadable: op_map renames MST mix kinds at issue time."""
-    with GraphPlatform() as platform:
-        platform.add_tenant("sci")
-        platform.add_graph("sci", "paths", grid_graph(8, 8, seed=1),
-                           problem="sssp", source=0)
-        result = run_multitenant(platform, [
-            TenantLoad("sci", "paths",
-                       _scenario(mix={"component": 1.0}),
-                       op_map={"component": "dist"}),
-        ])
+    platform = GraphPlatform()
+    platform.add_tenant("sci")
+    platform.add_graph("sci", "paths", grid_graph(8, 8, seed=1),
+                       problem="sssp", source=0)
+    result = run_multitenant(platform, [
+        TenantLoad("sci", "paths",
+                   _scenario(mix={"component": 1.0}),
+                   op_map={"component": "dist"}),
+    ])
     rec = result.tenants["sci"].to_dict()
     assert _accounting_ok(rec)
     assert rec["completed"] > 0
@@ -82,29 +82,29 @@ def test_op_map_drives_problem_tenants():
 
 
 def test_duplicate_tenant_loads_rejected():
-    with GraphPlatform() as platform:
-        platform.add_tenant("solo")
-        platform.add_graph("solo", "g", gnm_random_graph(50, 150, seed=2))
-        loads = [
-            TenantLoad("solo", "g", _scenario()),
-            TenantLoad("solo", "g", _scenario(seed=13)),
-        ]
-        with pytest.raises(ServiceError, match="one TenantLoad per tenant"):
-            run_multitenant(platform, loads)
+    platform = GraphPlatform()
+    platform.add_tenant("solo")
+    platform.add_graph("solo", "g", gnm_random_graph(50, 150, seed=2))
+    loads = [
+        TenantLoad("solo", "g", _scenario()),
+        TenantLoad("solo", "g", _scenario(seed=13)),
+    ]
+    with pytest.raises(ServiceError, match="one TenantLoad per tenant"):
+        run_multitenant(platform, loads)
 
 
 def test_mutation_events_are_dropped_from_the_mix():
     """Mutation ops in a scenario mix are skipped, not sent as queries."""
-    with GraphPlatform() as platform:
-        platform.add_tenant("solo")
-        platform.add_graph("solo", "g", gnm_random_graph(80, 240, seed=2))
-        scenario = Scenario(
-            name="with-mutations", seed=11, duration_s=0.3, rate_qps=300.0,
-            arrival="uniform",
-            mix={"connected": 0.7, "insert": 0.2, "delete": 0.1},
-        )
-        result = run_multitenant(
-            platform, [TenantLoad("solo", "g", scenario)])
+    platform = GraphPlatform()
+    platform.add_tenant("solo")
+    platform.add_graph("solo", "g", gnm_random_graph(80, 240, seed=2))
+    scenario = Scenario(
+        name="with-mutations", seed=11, duration_s=0.3, rate_qps=300.0,
+        arrival="uniform",
+        mix={"connected": 0.7, "insert": 0.2, "delete": 0.1},
+    )
+    result = run_multitenant(
+        platform, [TenantLoad("solo", "g", scenario)])
     rec = result.tenants["solo"].to_dict()
     assert _accounting_ok(rec)
     assert rec["errors"] == 0
@@ -113,12 +113,12 @@ def test_mutation_events_are_dropped_from_the_mix():
 
 
 def test_result_to_dict_shape():
-    with GraphPlatform() as platform:
-        platform.add_tenant("solo")
-        platform.add_graph("solo", "g", gnm_random_graph(50, 150, seed=2))
-        result = run_multitenant(
-            platform,
-            [TenantLoad("solo", "g", _scenario(duration_s=0.2))])
+    platform = GraphPlatform()
+    platform.add_tenant("solo")
+    platform.add_graph("solo", "g", gnm_random_graph(50, 150, seed=2))
+    result = run_multitenant(
+        platform,
+        [TenantLoad("solo", "g", _scenario(duration_s=0.2))])
     rec = result.tenants["solo"].to_dict()
     for key in ("tenant", "graph", "scenario", "offered", "completed",
                 "rejected", "quota_rejected", "timeouts", "errors",

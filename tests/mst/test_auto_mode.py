@@ -1,32 +1,21 @@
-"""mode="auto" cost-model dispatch: correctness, safety, persistence.
+"""mode="auto" cost-model dispatch: correctness and safety.
 
-Three properties pin the adaptive selector down:
+Two properties pin the adaptive selector down:
 
 * **universality** — ``get_algorithm(name, mode="auto")`` works for
   *every* registered algorithm (loop-only ones resolve to their only
   mode) and returns the exact Kruskal-oracle MSF on every adversarial
   graph family;
 * **safety** — :func:`repro.mst.autotune.choose_mode` returns only a
-  mode the registry lists for the algorithm, on any graph shape;
-* **persistence** — a calibration file overrides the shipped crossovers
-  and malformed entries are ignored, never fatal.
+  mode the registry lists for the algorithm, on any graph shape.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.checking.families import family_names, generate_case
-from repro.mst.autotune import (
-    DEFAULT_CROSSOVERS,
-    Crossover,
-    autotune_path,
-    choose_mode,
-    invalidate_cache,
-    load_crossovers,
-)
+from repro.mst.autotune import DEFAULT_CROSSOVERS, choose_mode
 from repro.mst.kruskal import kruskal
 from repro.mst.registry import (
     PARALLEL_ALGORITHMS,
@@ -119,63 +108,3 @@ def test_choose_mode_loop_only_algorithms():
     assert choose_mode("kruskal", 1_000_000, 10_000_000) == "loop"
     assert choose_mode("ghs", 1_000, 100_000) == "loop"
     assert choose_mode("llp-prim", 1_000, 100_000) == "loop"
-
-
-def test_calibration_file_overrides_defaults(tmp_path, monkeypatch):
-    path = tmp_path / "autotune.json"
-    monkeypatch.setenv("REPRO_AUTOTUNE_PATH", str(path))
-    invalidate_cache()
-    assert autotune_path() == path
-    try:
-        # No file yet: shipped defaults.
-        assert load_crossovers() == DEFAULT_CROSSOVERS
-        # Persisted calibration wins after a cache drop.
-        path.write_text(json.dumps({
-            "boruvka": {"min_edges": 7, "min_avg_degree": 3.5},
-            "no-such-algorithm": {"min_edges": 1, "min_avg_degree": 0.0},
-            "prim": "garbage",
-            "_meta": {"machine": "test"},
-        }))
-        invalidate_cache()
-        table = load_crossovers()
-        assert table["boruvka"] == Crossover(min_edges=7, min_avg_degree=3.5)
-        # Malformed / unknown entries are ignored, defaults retained.
-        assert table["prim"] == DEFAULT_CROSSOVERS["prim"]
-        assert "no-such-algorithm" not in table
-        # choose_mode sees the override: 8 edges now clears boruvka's bar
-        # (avg degree 2*8/4 = 4.0 >= 3.5).
-        assert choose_mode("boruvka", 4, 8) == "vectorized"
-        assert choose_mode("boruvka", 100, 8) == "loop"  # degree below bar
-    finally:
-        invalidate_cache()
-
-
-def test_calibration_file_with_legacy_keys_still_applies(tmp_path, monkeypatch):
-    """Files written by older calibrate() runs carry a ``_jit`` stamp;
-    ``_``-prefixed keys are metadata, so the crossovers still apply."""
-    path = tmp_path / "autotune.json"
-    monkeypatch.setenv("REPRO_AUTOTUNE_PATH", str(path))
-    path.write_text(json.dumps(
-        {"_jit": False, "prim": {"min_edges": 7, "min_avg_degree": 1.0}}
-    ))
-    invalidate_cache()
-    try:
-        assert load_crossovers()["prim"] == Crossover(min_edges=7, min_avg_degree=1.0)
-        assert choose_mode("prim", 4, 8) == "vectorized"
-    finally:
-        invalidate_cache()
-
-
-def test_unreachable_threshold_never_selects_vectorized(tmp_path, monkeypatch):
-    """calibrate() writes 1<<62 when vectorized never wins; auto honors it."""
-    path = tmp_path / "autotune.json"
-    monkeypatch.setenv("REPRO_AUTOTUNE_PATH", str(path))
-    path.write_text(json.dumps(
-        {"boruvka": {"min_edges": 1 << 62, "min_avg_degree": 0.0}}
-    ))
-    invalidate_cache()
-    try:
-        for n, m in SHAPES:
-            assert choose_mode("boruvka", n, m) == "loop"
-    finally:
-        invalidate_cache()

@@ -46,14 +46,13 @@ def test_trace_subcommand_is_sugar_over_flags(tmp_path, capsys):
 def test_trace_query_sharded_collects_worker_pids(tmp_path, capsys):
     """The headline acceptance path: one trace spanning >= 2 worker pids."""
     out = tmp_path / "q.json"
-    assert main(["trace", "--out", str(out), "query",
-                 "--dataset", "graph500", "--scale", "8",
-                 "--shards", "2", "--executor", "process",
+    assert main(["trace", "--out", str(out), "query", "--algo", "sharded",
+                 "--dataset", "graph500", "--scale", "10",
                  "--type", "connected", "--pairs", "0:5,1:7"]) == 0
     doc = _load(out)
     xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
     pids = {e["pid"] for e in xs}
-    assert len(pids) >= 3, pids  # coordinator + 2 shard workers
+    assert len(pids) >= 3, pids  # coordinator + its 4 shard workers
     names = {e["name"] for e in xs}
     assert "service:load_graph" in names      # service layer
     assert "sharded" in names                 # solver/shard layer

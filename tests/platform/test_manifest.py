@@ -87,7 +87,7 @@ class TestBuildPlatform:
                             "source": {"kind": "gnm", "n": 60, "m": 180,
                                        "seed": 3},
                             "problem": "mst", "algorithm": "kruskal",
-                            "mode": "auto", "shards": 0, "params": {},
+                            "mode": "auto", "params": {},
                         },
                         "paths": {
                             "source": {"kind": "grid", "rows": 5, "cols": 5,
@@ -101,23 +101,37 @@ class TestBuildPlatform:
 
     def test_build_registers_everything(self, tmp_path):
         save_manifest(tmp_path, self._manifest())
-        with build_platform(tmp_path) as platform:
-            assert platform.tenants() == ["acme"]
-            assert platform.tenant("acme").quota.rate_qps == 50.0
-            assert platform.entry("acme", "mesh").problem == "mst"
-            assert platform.entry("acme", "paths").problem == "sssp"
-            svc = platform.get_service("acme", "paths")
-            assert float(svc.dist(0)) == 0.0
+        platform = build_platform(tmp_path)
+        assert platform.tenants() == ["acme"]
+        assert platform.tenant("acme").quota.rate_qps == 50.0
+        assert platform.entry("acme", "mesh").problem == "mst"
+        assert platform.entry("acme", "paths").problem == "sssp"
+        svc = platform.get_service("acme", "paths")
+        assert float(svc.dist(0)) == 0.0
 
     def test_restart_reloads_warm_from_store(self, tmp_path):
         save_manifest(tmp_path, self._manifest())
-        with build_platform(tmp_path) as platform:
-            weight = platform.get_service("acme", "mesh").total_weight()
-            assert platform.tenant("acme").metrics.artifact_misses > 0
+        platform = build_platform(tmp_path)
+        weight = platform.get_service("acme", "mesh").total_weight()
+        assert platform.tenant("acme").metrics.artifact_misses > 0
         # Second boot: same manifest, same fingerprints, warm artifacts.
-        with build_platform(tmp_path) as platform:
-            assert platform.get_service("acme", "mesh").total_weight() == weight
-            assert platform.tenant("acme").metrics.artifact_hits > 0
+        platform = build_platform(tmp_path)
+        assert platform.get_service("acme", "mesh").total_weight() == weight
+        assert platform.tenant("acme").metrics.artifact_hits > 0
+
+    def test_record_with_shards_boots_like_its_twin(self, tmp_path):
+        """A graph record written while manifests still carried ``shards``."""
+        manifest = self._manifest()
+        graphs = manifest["tenants"]["acme"]["graphs"]
+        graphs["mesh-x2"] = dict(graphs["mesh"], shards=2)
+        save_manifest(tmp_path, manifest)
+        platform = build_platform(tmp_path)
+        old = platform.get_service("acme", "mesh-x2")
+        twin = platform.get_service("acme", "mesh")
+        assert old.artifact.algorithm == "kruskal"
+        assert old.total_weight() == twin.total_weight()
+        us, vs = [0, 3, 17, 59], [59, 40, 2, 1]
+        assert np.array_equal(old.bottleneck(us, vs), twin.bottleneck(us, vs))
 
     def test_build_failure_closes_the_platform(self, tmp_path):
         manifest = self._manifest()
@@ -132,21 +146,21 @@ class TestBuildPlatform:
 class TestPlatformToManifest:
     def test_round_trip_keeps_sourced_graphs(self, tmp_path):
         save_manifest(tmp_path, TestBuildPlatform()._manifest())
-        with build_platform(tmp_path) as platform:
-            manifest = platform_to_manifest(platform)
+        platform = build_platform(tmp_path)
+        manifest = platform_to_manifest(platform)
         graphs = manifest["tenants"]["acme"]["graphs"]
         assert set(graphs) == {"mesh", "paths"}
         assert graphs["paths"]["params"] == {"source": 0}
         # Writing it back and rebooting reproduces the same registry.
         save_manifest(tmp_path, manifest)
-        with build_platform(tmp_path) as platform:
-            assert set(platform.tenant("acme").graphs) == {"mesh", "paths"}
+        platform = build_platform(tmp_path)
+        assert set(platform.tenant("acme").graphs) == {"mesh", "paths"}
 
     def test_sourceless_graphs_are_skipped(self):
         from repro.graphs.generators.random_graphs import gnm_random_graph
 
-        with GraphPlatform() as platform:
-            platform.add_tenant("acme", TenantQuota())
-            platform.add_graph("acme", "anon", gnm_random_graph(30, 90, seed=1))
-            manifest = platform_to_manifest(platform)
+        platform = GraphPlatform()
+        platform.add_tenant("acme", TenantQuota())
+        platform.add_graph("acme", "anon", gnm_random_graph(30, 90, seed=1))
+        manifest = platform_to_manifest(platform)
         assert manifest["tenants"]["acme"]["graphs"] == {}

@@ -100,6 +100,17 @@ class TestAdmission:
         with pytest.raises(PoolUnavailableError):
             pool.submit(_echo, 1)
 
+    def test_counters_outlive_close(self):
+        pool = WorkerPool(max_workers=1, name="t")
+        try:
+            assert pool.submit(abs, -2).result(timeout=30) == 2
+        finally:
+            pool.close()
+        # A metrics snapshot taken after close still reads the counters.
+        stats = pool.stats()
+        assert stats["submitted"] == stats["completed"] == 1
+        assert stats["live_workers"] == 0
+
     def test_close_fails_queued_jobs(self):
         pool = WorkerPool(max_workers=1, max_pending=8, name="t")
         try:

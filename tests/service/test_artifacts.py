@@ -4,6 +4,7 @@ Store behaviours run over both artifact kinds — MSF (``"mst"``) and a
 registered problem (``"cc"``) — through the one :class:`ArtifactStore`.
 """
 
+import json
 import os
 import shutil
 from pathlib import Path
@@ -16,6 +17,7 @@ from repro.errors import ServiceError
 from repro.graphs.builder import from_edges
 from repro.graphs.generators import gnm_random_graph
 from repro.mst.kruskal import kruskal
+from repro.mst.registry import DEFAULT_ALGORITHM
 from repro.service.artifacts import (
     ArtifactStore,
     artifact_from_result,
@@ -80,8 +82,6 @@ def test_fingerprints_pinned_to_published_values():
         "e3e1003455487f0effd067ca1055e766b47514d1e07790c5fae4739e621c3a03")
     assert graph_fingerprint(g, "llp-boruvka", "vectorized") == (
         "3a70dcb50c18e34a932b7b2bbca01c160db5bd2bb7d39301796c5322f63b2f9b")
-    assert graph_fingerprint(g, "kruskal", "auto", solver="sharded", shards=2) == (
-        "c283617e6bb3646ceb66000598d55703efe88003b108f9a017c2640847bb7f9b")
     assert graph_fingerprint(gi, "kruskal") == (
         "9d978cb8ac55a9e60b1e5a8005352b79438e83a71bd4b9b6ec51e5f7ca44cbea")
     assert problem_fingerprint(g, "cc", "loop") == (
@@ -196,6 +196,48 @@ def test_msf_file_of_layout_2_recomputes_once(tmp_path):
     again, hit = warm.get_or_compute(g, mode=None, algorithm="kruskal")
     assert hit and warm.stats()["corrupt_replaced"] == 0
     assert _same_content(again, art)
+
+
+def test_msf_file_with_shard_provenance_fields_loads_warm(tmp_path, monkeypatch):
+    """A layout-3 file from a direct default solve, written while MSF
+    files still carried ``solver=""`` and ``shards=0``."""
+    import repro.service.artifacts as artifacts
+    from repro.service import MSTService
+
+    g = from_edges(EDGES)
+    store = ArtifactStore(tmp_path)
+    path = store.path_for(graph_fingerprint(g, DEFAULT_ALGORITHM, "auto"))
+    shutil.copy(GOLDEN / "msf-layout-3-solver-fields.npz", path)
+    with np.load(path) as data:
+        assert {"solver", "shards"} <= set(data.files)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a warm artifact must not be re-solved")
+
+    monkeypatch.setattr(artifacts, "solve_artifact", no_solve)
+    art = MSTService(store).load_graph(g)
+    assert store.stats() == {"hits": 1, "misses": 0, "corrupt_replaced": 0}
+    monkeypatch.undo()
+    assert art.algorithm == DEFAULT_ALGORITHM and art.mode == "auto"
+    assert _same_content(art, solve_artifact(g))
+
+
+def test_json_dump_with_shard_provenance_fields_loads(tmp_path, capsys):
+    from repro.cli import main
+
+    g = gnm_random_graph(40, 90, seed=3)
+    art = solve_artifact(g, algorithm="kruskal")
+    path = tmp_path / "msf.json"
+    save_json_artifact(art, path)
+    payload = json.loads(path.read_text())
+    payload.update(solver="sharded", shards=2)
+    path.write_text(json.dumps(payload))
+    loaded = load_json_artifact(path)
+    assert loaded.fingerprint == art.fingerprint
+    assert np.array_equal(loaded.msf_edge_ids, art.msf_edge_ids)
+    assert loaded.total_weight == art.total_weight
+    assert main(["query", "--artifact", str(path), "--type", "weight"]) == 0
+    assert "[kruskal]" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

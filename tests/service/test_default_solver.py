@@ -120,12 +120,9 @@ def test_manifest_without_algorithm_registers_the_constant(tmp_path):
         "mesh": {"source": {"kind": "gnm", "n": 30, "m": 60, "seed": 1}},
     }}}})
     platform = build_platform(tmp_path)
-    try:
-        entry = platform.tenant("acme").graphs["mesh"]
-        assert entry.algorithm == DEFAULT_ALGORITHM
-        assert entry.service.artifact.algorithm == DEFAULT_ALGORITHM
-    finally:
-        platform.close()
+    entry = platform.tenant("acme").graphs["mesh"]
+    assert entry.algorithm == DEFAULT_ALGORITHM
+    assert entry.service.artifact.algorithm == DEFAULT_ALGORITHM
 
 
 def test_soak_serves_the_constant(tmp_path):

@@ -67,14 +67,14 @@ def build_report(args: argparse.Namespace) -> dict:
 
     def run(loads):
         with tempfile.TemporaryDirectory(prefix="bench-platform-") as root:
-            with GraphPlatform(root) as platform:
-                platform.add_tenant("cold", TenantQuota(rate_qps=0.0))
-                platform.add_tenant("hot", TenantQuota(
-                    rate_qps=args.hot_quota_qps, burst=args.hot_quota_burst,
-                ))
-                platform.add_graph("cold", "g", g)
-                platform.add_graph("hot", "s", g, problem="sssp", source=0)
-                return run_multitenant(platform, loads)
+            platform = GraphPlatform(root)
+            platform.add_tenant("cold", TenantQuota(rate_qps=0.0))
+            platform.add_tenant("hot", TenantQuota(
+                rate_qps=args.hot_quota_qps, burst=args.hot_quota_burst,
+            ))
+            platform.add_graph("cold", "g", g)
+            platform.add_graph("hot", "s", g, problem="sssp", source=0)
+            return run_multitenant(platform, loads)
 
     alone = run([cold_load()])
     contended = run([cold_load(), hot_load()])

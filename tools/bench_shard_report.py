@@ -130,7 +130,6 @@ def main(argv: list[str] | None = None) -> int:
 
     vec_best = min(v["seconds"] for k, v in baselines.items() if "/" in k)
     sharded = {}
-    beats_vectorized = False
     for k in args.shards:
         def solve():
             return sharded_mst(g, n_shards=k, partition=args.partition,
@@ -156,8 +155,6 @@ def main(argv: list[str] | None = None) -> int:
             if "/" in label and secs < b["seconds"]
         )
         entry["beats_vectorized_baselines"] = wins
-        if k > 1 and wins:
-            beats_vectorized = True
         sharded[str(k)] = entry
         print(f"sharded  x{k} ({executor:7s}){'':18s}{secs * 1e3:9.2f} ms   "
               f"beats: {', '.join(wins) or '-'}")
@@ -177,7 +174,6 @@ def main(argv: list[str] | None = None) -> int:
         "numpy": np.__version__,
         "repro_version": __version__,
         "identical_edge_sets": True,
-        "multi_shard_beats_a_vectorized_baseline": beats_vectorized,
         "fastest_vectorized_baseline_seconds": round(vec_best, 6),
         "baselines": baselines,
         "sharded": sharded,
