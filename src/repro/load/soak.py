@@ -219,7 +219,7 @@ def run_soak(
         # may have changed since load started).
         for outcome in outcomes:
             if outcome.family == "artifact-corruption" and outcome.ok:
-                fresh = kruskal(svc._graph)
+                fresh = kruskal(svc.graph)
                 served = svc.total_weight()
                 if abs(served - fresh.total_weight) > 1e-9 * max(
                     1.0, abs(fresh.total_weight)

@@ -13,18 +13,25 @@ Reference semantics, exact at every step:
 
 The live edges are NumPy arrays in id order plus a forest mask; tree-path
 and cut questions go to a :class:`~repro.graphs.tree_queries.ForestPathMax`
-over the forest.  A write costs O(m) NumPy work (one slot appended or
-dropped, one mask over the live edges), an insert one O(log n) path
-query, and the first write after the forest changed one index build
-(O(n log n) pointer jumping); the poly-log structures of Holm-de
+over the forest, which also holds the forest's ids in key order.  A write
+costs O(m) NumPy work (one slot appended or dropped, one mask over the
+live edges) and an insert one O(log n) path query.  The index is rebuilt
+(O(n log n) pointer jumping) only after the forest changed: once per
+forest-changing insert, and once or twice per tree-edge delete (the
+forest without the edge, then with its replacement).  A write that
+leaves the forest alone builds none, and :meth:`forest_arrays` reads the
+forest off the index with no sort.  The poly-log structures of Holm-de
 Lichtenberg-Thorup are out of scope.
 
 Edges are totally ordered by ``(weight, min endpoint, max endpoint, id)``,
 the paper's unique weights made by "incorporating identities of its
-endpoints" (§V-A).  A :meth:`snapshot` numbers its edges in ``(u, v)``
-order, so there the key is the ``(weight, edge id)`` order
-:attr:`CSRGraph.ranks` gives every static solver, and the maintained
-forest is the static MSF of the live edges even under ties.  Weights keep
+endpoints" (§V-A).  :meth:`edges` (and the :meth:`snapshot` built from
+it) numbers the edges in ``(u, v)`` order, so there the key is the
+``(weight, edge id)`` order :attr:`CSRGraph.ranks` gives every static
+solver, and the maintained forest is the static MSF of the live edges
+even under ties.  A forest holds no parallel edges, so on it the key is
+the snapshot's rank order: :meth:`forest_arrays` lists the forest in the
+order an artifact of the snapshot stores it.  Weights keep
 the loaded graph's dtype: int64 weights stay exact (float64 would tie
 distinct values beyond 2**53 and break that order).
 
@@ -134,10 +141,23 @@ class DynamicMSF:
         Sorted by the ``(weight, min endpoint, max endpoint, id)`` key the
         forest is maintained under, so position doubles as the
         forest-local rank — the layout the MSF query service's artifacts
-        use directly.
+        use directly.  Read off :meth:`path_index`, which keeps the
+        forest's ids in that order: no sort runs.
         """
-        f = self._forest()
-        return self._u[f], self._v[f], self._w[f], self._ids[f]
+        ids = self._path_index()[1]
+        p = np.searchsorted(self._ids, ids)
+        return self._u[p], self._v[p], self._w[p], ids
+
+    def path_index(self) -> ForestPathMax:
+        """The forest's path-max index, ranks in key order.
+
+        Built on demand and kept until the forest changes, so a write
+        that leaves the forest alone reuses it.  Its ranks are positions
+        in :meth:`forest_arrays`, the rank order of an artifact of
+        :meth:`snapshot`: a query engine serving that artifact can take
+        this index as its own.
+        """
+        return self._path_index()[0]
 
     def find_edge(self, u: int, v: int, w: float | None = None) -> int | None:
         """Id of a live edge with endpoints ``{u, v}`` (and weight ``w``).
@@ -219,15 +239,22 @@ class DynamicMSF:
     # ------------------------------------------------------------------
     # Export / verification hooks
     # ------------------------------------------------------------------
+    def edges(self) -> EdgeList:
+        """The live edge set as a canonical :class:`EdgeList`.
+
+        Parallel edges are collapsed to their minimum and the rest are
+        numbered in ``(u, v)`` order: the edge arrays of :meth:`snapshot`,
+        with no adjacency built.
+        """
+        return EdgeList.from_arrays(self.n_vertices, self._u, self._v, self._w)
+
     def snapshot(self) -> CSRGraph:
         """The live edge set as a static :class:`CSRGraph`.
 
         Parallel edges are collapsed to their minimum (CSR canonical
         form), matching how the static algorithms would see this graph.
         """
-        return CSRGraph.from_edgelist(
-            EdgeList.from_arrays(self.n_vertices, self._u, self._v, self._w)
-        )
+        return CSRGraph.from_edgelist(self.edges())
 
     # ------------------------------------------------------------------
     # Internals

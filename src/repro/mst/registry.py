@@ -53,6 +53,9 @@ _MODES: Dict[str, tuple[str, ...]] = {
     "llp-boruvka": ("loop", "vectorized", "auto"),
     "parallel-boruvka": ("loop", "vectorized", "auto"),
 }
+# "sharded" runs DEFAULT_ALGORITHM on every shard and takes its modes;
+# "auto" passes through unresolved and resolves per shard.
+_MODES["sharded"] = _MODES[DEFAULT_ALGORITHM]
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,7 @@ def list_algorithm_info() -> list[AlgorithmInfo]:
 
 def _effective_mode(name: str, mode: str | None, g: CSRGraph) -> str | None:
     """Resolve ``"auto"`` to a concrete kernel mode for this graph."""
-    if mode != "auto":
+    if mode != "auto" or name == "sharded":
         return mode
     if name not in _MODES:
         return None  # loop-only: the algorithm takes no mode kwarg

@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.errors import ServiceError
 from repro.graphs.csr import CSRGraph
+from repro.graphs.edgelist import EdgeList
 from repro.graphs.tree_queries import ForestPathMax
 from repro.mst.base import MSTResult
 from repro.mst.registry import DEFAULT_ALGORITHM
@@ -65,6 +66,7 @@ __all__ = [
     "artifact_fingerprint",
     "update_graph_hash",
     "artifact_from_result",
+    "artifact_from_forest",
     "solve_artifact",
     "save_npz_artifact",
     "load_npz_artifact",
@@ -88,27 +90,39 @@ _FINGERPRINT_SALT = b"repro-msf-artifact-v1"
 _PROBLEM_FINGERPRINT_SALT = b"repro-problem-artifact-v1"
 
 
-def update_graph_hash(h, g: CSRGraph) -> None:
+def _edge_arrays(g: CSRGraph | EdgeList):
+    """``(u, v, w)``: a graph's edge tables, or the columns of the edge list it is built from."""
+    if isinstance(g, EdgeList):
+        return g.u, g.v, g.w
+    return g.edge_u, g.edge_v, g.edge_w
+
+
+def update_graph_hash(h, g: CSRGraph | EdgeList) -> None:
     """Feed the canonical graph bytes into an in-progress hash object.
 
     The single definition of "the graph bytes" shared by every
     content-addressed fingerprint: vertex count, endpoint arrays as
     little-endian int64, and weights in their native int64/float64
     representation with a dtype tag — int64 weights must not round
-    through float64 (values beyond 2**53 would collide).
+    through float64 (values beyond 2**53 would collide).  A
+    :class:`CSRGraph` and the canonical :class:`EdgeList` it is built
+    from hash the same bytes.
     """
-    with _obs_span("artifact:fingerprint", "service", n_edges=g.n_edges):
+    u, v, w = _edge_arrays(g)
+    with _obs_span("artifact:fingerprint", "service", n_edges=int(u.size)):
         h.update(str(int(g.n_vertices)).encode())
-        h.update(np.ascontiguousarray(g.edge_u, dtype="<i8").tobytes())
-        h.update(np.ascontiguousarray(g.edge_v, dtype="<i8").tobytes())
-        if g.edge_w.dtype.kind in "iu":
+        h.update(np.ascontiguousarray(u, dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(v, dtype="<i8").tobytes())
+        if w.dtype.kind in "iu":
             h.update(b"w:i8")
-            h.update(np.ascontiguousarray(g.edge_w, dtype="<i8").tobytes())
+            h.update(np.ascontiguousarray(w, dtype="<i8").tobytes())
         else:
-            h.update(np.ascontiguousarray(g.edge_w, dtype="<f8").tobytes())
+            h.update(np.ascontiguousarray(w, dtype="<f8").tobytes())
 
 
-def graph_fingerprint(g: CSRGraph, algorithm: str, mode: str | None = None) -> str:
+def graph_fingerprint(
+    g: CSRGraph | EdgeList, algorithm: str, mode: str | None = None
+) -> str:
     """SHA-256 content address of ``(graph bytes, algorithm, mode)``.
 
     Hashes the canonical edge arrays byte-exactly, so any change to the
@@ -326,25 +340,50 @@ def artifact_from_result(
     """
     eids = np.asarray(result.edge_ids, dtype=np.int64)
     order = np.argsort(g.ranks[eids], kind="stable") if eids.size else eids
-    eids = eids[order]
-    fu = g.edge_u[eids].astype(np.int64, copy=True)
-    fv = g.edge_v[eids].astype(np.int64, copy=True)
+    return _package(
+        g, eids[order], algorithm, mode, fingerprint,
+        result.total_weight, int(result.n_components),
+    )
+
+
+def artifact_from_forest(
+    edges: EdgeList, eids: np.ndarray, algorithm: str, mode: str | None = None
+) -> MSFArtifact:
+    """Package the forest ``eids`` of canonical ``edges``, given in rank order.
+
+    The service's write path: a repaired
+    :class:`~repro.mst.dynamic.DynamicMSF` forest arrives already in the
+    ``(weight, edge id)`` order of its snapshot, so no CSR is built and
+    nothing is sorted.  Every field equals what :func:`artifact_from_result`
+    makes of a solve of ``CSRGraph.from_edgelist(edges)``: the same
+    fingerprint bytes, and the total summed in edge-id order as
+    :func:`~repro.mst.base.result_from_edge_ids` sums it.
+    """
+    eids = np.asarray(eids, dtype=np.int64)
+    with np.errstate(over="ignore"):
+        total = float(edges.w[np.sort(eids)].sum()) if eids.size else 0.0
+    return _package(
+        edges, eids, algorithm, mode, None, total, edges.n_vertices - int(eids.size)
+    )
+
+
+def _package(g, eids, algorithm, mode, fingerprint, total, n_components) -> MSFArtifact:
+    """The artifact of forest ``eids`` (rank order) of ``g``, a graph or edge list."""
+    u, v, w = _edge_arrays(g)
     # Weights keep the graph's dtype: int64 weights round-tripped through
     # float64 lose exactness beyond 2**53.
-    fw = np.ascontiguousarray(g.edge_w[eids]).copy()
-    int_w = fw.dtype.kind in "iu"
-    total = int(fw.sum()) if int_w else float(result.total_weight)
+    fw = w[eids]
     return MSFArtifact(
         fingerprint=fingerprint or graph_fingerprint(g, algorithm, mode),
         algorithm=algorithm,
         mode=mode,
         n_vertices=g.n_vertices,
-        msf_u=fu,
-        msf_v=fv,
+        msf_u=u[eids].astype(np.int64, copy=True),
+        msf_v=v[eids].astype(np.int64, copy=True),
         msf_w=fw,
         msf_edge_ids=eids,
-        total_weight=total,
-        n_components=int(result.n_components),
+        total_weight=int(fw.sum()) if fw.dtype.kind in "iu" else float(total),
+        n_components=n_components,
     )
 
 

@@ -11,8 +11,13 @@ names only its artifact recipe, its engine, and its typed queries.
 :class:`MSTService` is the MST one: the vectorized
 :class:`~repro.service.engine.QueryEngine` (batched answers) plus
 incremental mutation via :class:`~repro.mst.dynamic.DynamicMSF` — an
-edge insert or delete repairs the maintained forest and rebuilds only
-the O(n log n) query index, never re-solving the MSF from scratch.
+edge insert or delete repairs the maintained forest, never re-solving
+the MSF.  A write sorts the live edges once (their deduplicated edge
+list, which the fingerprint hashes), packages the repaired forest
+without building a CSR, saves it, and serves it through
+:class:`DynamicMSF`'s own path-max index, rebuilt only when the forest
+changed.  The snapshot's CSR is built on the first read of
+:attr:`MSTService.graph`.
 :class:`~repro.solve.service.ProblemService` is the same lifecycle for
 the registered problems, and :func:`service_for` picks between them.
 
@@ -37,15 +42,14 @@ import numpy as np
 
 from repro.errors import ServiceError, WeightError
 from repro.graphs.csr import CSRGraph
-from repro.graphs.edgelist import pair_word
-from repro.mst.base import result_from_edge_ids
+from repro.graphs.edgelist import EdgeList, pair_word
 from repro.mst.dynamic import DynamicMSF
 from repro.mst.registry import DEFAULT_ALGORITHM
 from repro.obs.trace import span as _obs_span
 from repro.service.artifacts import (
     MST,
     ArtifactStore,
-    artifact_from_result,
+    artifact_from_forest,
     load_json_artifact,
     load_npz_artifact,
     solve_artifact,
@@ -158,9 +162,10 @@ class ArtifactService:
         recompute instead of an error.
         """
         if self._engine is None:
-            if self._graph is None:
+            g = self.graph
+            if g is None:
                 raise ServiceError("no graph or artifact loaded; call load_graph first")
-            self.load_graph(self._graph)
+            self.load_graph(g)
         return self._engine
 
     @property
@@ -172,9 +177,7 @@ class ArtifactService:
     def graph(self) -> Optional[CSRGraph]:
         """The currently served graph (``None`` in offline-artifact mode).
 
-        For MST this reflects mutations: after ``insert_edge`` /
-        ``delete_edge`` it is the maintained snapshot, which is what an
-        evicted engine reloads for.
+        This is what an evicted engine reloads for.
         """
         return self._graph
 
@@ -216,13 +219,31 @@ class MSTService(ArtifactService):
         super().__init__(store, mode=mode, backend=backend, metrics=metrics)
         self.algorithm = algorithm
         self._dyn: Optional[DynamicMSF] = None
+        # After a write: the snapshot's edge list, whose CSR ``graph``
+        # builds on first read.
+        self._edges: Optional[EdgeList] = None
 
     def _recipe(self) -> dict:
         return {"algorithm": self.algorithm}
 
     def _serve(self, artifact, graph: Optional[CSRGraph]) -> None:
         self._dyn = None
+        self._edges = None
         super()._serve(artifact, graph)
+
+    @property
+    def graph(self) -> Optional[CSRGraph]:
+        """The currently served graph (``None`` in offline-artifact mode).
+
+        After ``insert_edge`` / ``delete_edge`` it is the snapshot of the
+        mutated edge set.  A write builds no CSR: the snapshot is built
+        on the first read and cached, so only the code that solves or
+        reloads (an eviction reload, a store-less rebuild, the first
+        write after one, ``tenant stats``) pays for the adjacency.
+        """
+        if self._graph is None and self._edges is not None:
+            self._graph = CSRGraph.from_edgelist(self._edges)
+        return self._graph
 
     # ------------------------------------------------------------------
     # Queries
@@ -269,23 +290,26 @@ class MSTService(ArtifactService):
     # Mutation — incremental artifact/index refresh via DynamicMSF
     # ------------------------------------------------------------------
     def _require_dynamic(self) -> DynamicMSF:
-        if self._graph is None:
-            raise ServiceError(
-                "mutations need the full edge set; load a graph (not an offline artifact)"
-            )
         if self._dyn is None:
+            g = self.graph
+            if g is None:
+                raise ServiceError(
+                    "mutations need the full edge set; load a graph (not an offline artifact)"
+                )
             # Seeded with the served forest: no mutation runs a solver.
-            self._dyn = DynamicMSF.from_graph(self._graph, self.artifact.msf_edge_ids)
+            self._dyn = DynamicMSF.from_graph(g, self.artifact.msf_edge_ids)
         return self._dyn
 
     def insert_edge(self, u: int, v: int, w: float) -> int:
         """Insert an edge; the forest and index update incrementally.
 
         Returns the edge's id in the dynamic edge store.  The maintained
-        forest is repaired by one path-max query (cycle property swap)
-        and only the query index is rebuilt — the MSF is never re-solved.
-        ``w`` keeps the graph's weight dtype; a weight that dtype cannot
-        hold exactly raises :class:`~repro.errors.ServiceError`.
+        forest is repaired by one path-max query (cycle property swap) —
+        the MSF is never re-solved — and the query index is rebuilt only
+        when the edge joined the forest.  No CSR is built (see
+        :attr:`graph`).  ``w`` keeps the graph's weight dtype; a weight
+        that dtype cannot hold exactly raises
+        :class:`~repro.errors.ServiceError`.
         """
         dyn = self._require_dynamic()
         try:
@@ -314,28 +338,31 @@ class MSTService(ArtifactService):
         """Package :attr:`_dyn`'s forest as the snapshot's artifact and serve it.
 
         No solve: the repaired forest is the snapshot's MSF under the
-        ``(weight, edge id)`` order every solver uses, and
-        :func:`artifact_from_result` on the snapshot packages it exactly
-        as a fresh solve does (edge ids, weight order, total).
+        ``(weight, edge id)`` order every solver uses, and it comes out
+        of :meth:`DynamicMSF.forest_arrays` in that order, so
+        :func:`artifact_from_forest` packages it as a fresh solve would
+        with no CSR and no sort.  The engine serves :class:`DynamicMSF`'s
+        own path-max index.
         """
         t0 = time.perf_counter()
         with _obs_span("service:mutation", "service"):
-            fu, fv, _, _ = self._dyn.forest_arrays()
-            snapshot = self._graph = self._dyn.snapshot()
+            dyn = self._dyn
+            edges = dyn.edges()  # the one sort a write keeps
+            self._edges, self._graph = edges, None
+            fu, fv, _, _ = dyn.forest_arrays()
             # Snapshot edges are deduplicated (u < v) pairs in pair-word
             # order: one search maps the forest onto snapshot edge ids.
-            n = snapshot.n_vertices
+            n = edges.n_vertices
             eids = np.searchsorted(
-                pair_word(snapshot.edge_u, snapshot.edge_v, n),
+                pair_word(edges.u, edges.v, n),
                 pair_word(np.minimum(fu, fv), np.maximum(fu, fv), n),
             )
-            artifact = artifact_from_result(
-                snapshot, result_from_edge_ids(snapshot, eids),
-                self.algorithm, self.mode,
-            )
+            artifact = artifact_from_forest(edges, eids, self.algorithm, self.mode)
             if self.store is not None:
                 self.store.save(artifact)
-            self._engine = QueryEngine(artifact, backend=self.backend)
+            self._engine = QueryEngine(
+                artifact, backend=self.backend, oracle=dyn.path_index()
+            )
         self.metrics.record_query("mutation", time.perf_counter() - t0)
 
     # ------------------------------------------------------------------

@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphError, ServiceError
+from repro.graphs.tree_queries import ForestPathMax
 from repro.obs.trace import span as _obs_span
 from repro.service.artifacts import MSFArtifact
 
@@ -47,12 +48,21 @@ QUERY_KINDS = (
 
 
 class QueryEngine:
-    """Vectorized query layer over one solved-MSF artifact."""
+    """Vectorized query layer over one solved-MSF artifact.
 
-    def __init__(self, artifact: MSFArtifact, *, backend=None) -> None:
+    ``oracle`` is the artifact's path-max index when the caller already
+    holds one over the same forest in the same rank order (the service's
+    write path hands over :meth:`DynamicMSF.path_index
+    <repro.mst.dynamic.DynamicMSF.path_index>`); by default the engine
+    builds it from the artifact.
+    """
+
+    def __init__(
+        self, artifact: MSFArtifact, *, backend=None, oracle: ForestPathMax | None = None
+    ) -> None:
         self.artifact = artifact
         self.backend = backend
-        self._oracle = artifact.oracle()
+        self._oracle = oracle if oracle is not None else artifact.oracle()
         # Component label = least vertex id in the tree (BFS root order);
         # sizes indexed by that label.
         comp = self._oracle.comp

@@ -100,7 +100,7 @@ def test_mutations_apply_to_the_live_graph_and_clear_the_cache():
     assert _accounting_holds(result)
     # The served forest must now equal a fresh solve of the mutated graph.
     assert svc.total_weight() == pytest.approx(
-        kruskal(svc._graph).total_weight
+        kruskal(svc.graph).total_weight
     )
 
 

@@ -42,7 +42,7 @@ def _graphs():
 
 def test_mode_algos_discovered():
     assert set(MODE_ALGOS) == {
-        "prim", "boruvka", "llp-boruvka", "parallel-boruvka"
+        "prim", "boruvka", "llp-boruvka", "parallel-boruvka", "sharded"
     }
 
 

@@ -22,7 +22,7 @@ CASES = [(20 + 3 * s, m, s) for s in range(12) for m in (12 + s, 60 + 4 * s)]
 
 def _assert_matches_recompute(svc):
     """Served forest == Kruskal on the service's current graph snapshot."""
-    fresh = kruskal(svc._graph)
+    fresh = kruskal(svc.graph)
     art = svc.artifact
     assert art.total_weight == pytest.approx(fresh.total_weight)
     assert art.n_components == fresh.n_components
@@ -34,7 +34,7 @@ def _assert_matches_recompute(svc):
     engine = svc.ensure_ready()
     from repro.graphs.components import components_union_find
 
-    comp = components_union_find(svc._graph)
+    comp = components_union_find(svc.graph)
     assert np.array_equal(engine.connected_many(us, vs), comp[us] == comp[vs])
 
 
@@ -54,10 +54,10 @@ def test_random_mutation_sequence_matches_recompute(tmp_path, n, m, seed):
     svc.load_graph(g)
     rng = np.random.default_rng(1000 + seed)
     for step in range(8):
-        if rng.random() < 0.5 and svc._graph.n_edges > 0:
-            eid = int(rng.integers(0, svc._graph.n_edges))
-            u, v = svc._graph.edge_endpoints(eid)
-            w = svc._graph.edge_weight(eid)
+        if rng.random() < 0.5 and svc.graph.n_edges > 0:
+            eid = int(rng.integers(0, svc.graph.n_edges))
+            u, v = svc.graph.edge_endpoints(eid)
+            w = svc.graph.edge_weight(eid)
             svc.delete_edge(int(u), int(v), float(w))
         else:
             u = int(rng.integers(0, n))
@@ -130,7 +130,7 @@ def test_mutated_artifact_is_cached_for_next_load(tmp_path):
     svc = MSTService(store)
     svc.load_graph(g)
     svc.insert_edge(0, 17, 0.123)
-    snapshot = svc._graph
+    snapshot = svc.graph
     other = MSTService(ArtifactStore(tmp_path))
     other.load_graph(snapshot)
     assert other.metrics.artifact_hits >= 1

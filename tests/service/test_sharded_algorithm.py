@@ -1,16 +1,20 @@
 """Sharding on the serving path is one registry algorithm, ``"sharded"``.
 
 A served graph asks for the sharded coordinator by name, like any other
-solver, and is served the default solver's forest.  The shard library
-loads only in a process that asks for it.
+solver, and is served the default solver's forest.  Every shard solves
+in the mode the artifact records.  The shard library loads only in a
+process that asks for it.
 """
 
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from repro.bench.datasets import build_dataset
+from repro.graphs.generators import gnm_random_graph
+from repro.obs.trace import Tracer, use_tracer
 from repro.service import MSTService
 
 FOREST_FIELDS = (
@@ -56,3 +60,19 @@ def test_sharded_service_serves_the_default_forest():
             assert got.dtype == want.dtype and np.array_equal(got, want), name
         else:
             assert type(got) is type(want) and got == want, (name, got, want)
+
+
+@pytest.mark.parametrize("mode", ["loop", "vectorized"])
+def test_every_shard_solves_in_the_requested_mode(mode):
+    """The mode an artifact and its fingerprint record is the mode every shard ran."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        artifact = MSTService(algorithm="sharded", mode=mode).load_graph(
+            gnm_random_graph(300, 2000, seed=1)
+        )
+    shards = [s for s in tracer.sorted_spans() if s.name == "solve:parallel-boruvka"]
+    assert artifact.mode == mode
+    assert len(shards) == 4
+    assert all(s.attrs["mode"] == artifact.mode for s in shards), [
+        s.attrs for s in shards
+    ]

@@ -70,7 +70,9 @@ def main(argv: list[str] | None = None) -> int:
 
     algorithms = {}
     for info in list_algorithm_info():
-        if not info.has_vectorized:
+        # "sharded" runs parallel-boruvka's kernels on every shard and
+        # resolves "auto" per shard: no fast path or auto pick of its own.
+        if not info.has_vectorized or info.name == "sharded":
             continue
         entry: dict = {}
         results = {}
