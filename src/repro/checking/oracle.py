@@ -2,8 +2,12 @@
 
 Kruskal's algorithm is the reference because its correctness argument is
 the shortest in the library (sort once, union–find, cut property) and it
-shares no kernels with the implementations under test.  For each case the
-harness classifies a result against the oracle, most severe first:
+shares no kernels with the implementations under test.  Each case's
+Kruskal forest is certified once by
+:func:`~repro.mst.verify.verify_minimum_cycle_property` before any cell
+is compared with it, so two independent oracles must agree.  A result
+equal to the certified forest is therefore correct; any other is
+classified, most severe first:
 
 ``exception``
     The algorithm raised instead of producing a result.
@@ -38,7 +42,7 @@ from repro.checking.families import GraphCase, iter_cases
 from repro.graphs.csr import CSRGraph
 from repro.mst.base import MSTResult, result_from_edge_ids
 from repro.mst.registry import algorithm_info, available_algorithms, get_algorithm
-from repro.mst.verify import verify_spanning_forest
+from repro.mst.verify import verify_minimum_cycle_property, verify_spanning_forest
 from repro.obs.trace import span as _obs_span
 from repro.runtime.sequential import SequentialBackend
 from repro.runtime.simulated import SimulatedBackend
@@ -102,9 +106,12 @@ class CheckReport:
 
 
 def _oracle(g: CSRGraph) -> MSTResult:
+    """Kruskal's forest of ``g``, certified by the cycle-property verifier."""
     from repro.mst.kruskal import kruskal
 
-    return kruskal(g)
+    oracle = kruskal(g)
+    verify_minimum_cycle_property(g, oracle)
+    return oracle
 
 
 def classify_result(
@@ -112,11 +119,20 @@ def classify_result(
 ) -> Tuple[str, str] | None:
     """Classify ``result`` against the oracle; ``None`` when it agrees.
 
-    Returns ``(kind, detail)`` for the most severe applicable mismatch
-    kind (see the module docstring for the severity order).
+    ``oracle`` is ``g``'s certified Kruskal forest (computed when
+    omitted).  A result with its edge ids, ``n_components`` and total
+    agrees at once; any other gets ``(kind, detail)`` for the most severe
+    applicable mismatch kind (see the module docstring for the severity
+    order).
     """
     if oracle is None:
         oracle = _oracle(g)
+    if (
+        result.n_components == oracle.n_components
+        and result.total_weight == oracle.total_weight
+        and np.array_equal(np.sort(result.edge_ids), oracle.edge_ids)
+    ):
+        return None
     try:
         verify_spanning_forest(g, result)
     except Exception as exc:

@@ -216,18 +216,18 @@ def run_soak(
 
         # Post-fault correctness probe: the served forest must equal a
         # fresh solve of the service's *current* graph (which mutations
-        # may have changed since load started).
+        # may have changed since load started), edge for edge.
         for outcome in outcomes:
             if outcome.family == "artifact-corruption" and outcome.ok:
                 fresh = kruskal(svc.graph)
                 served = svc.total_weight()
-                if abs(served - fresh.total_weight) > 1e-9 * max(
-                    1.0, abs(fresh.total_weight)
+                if not np.array_equal(
+                    np.sort(svc.artifact.msf_edge_ids), fresh.edge_ids
                 ):
                     outcome.ok = False
                     outcome.detail = (
-                        f"served weight {served} != fresh solve "
-                        f"{fresh.total_weight} after corruption"
+                        f"served forest (weight {served}) != fresh solve "
+                        f"(weight {fresh.total_weight}) after corruption"
                     )
                 elif outcome.injected == 0:
                     outcome.ok = False

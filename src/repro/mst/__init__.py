@@ -35,7 +35,6 @@ from repro.mst.verify import (
     verify_spanning_forest,
     verify_minimum,
     verify_minimum_cycle_property,
-    verify_cut_property_sample,
 )
 from repro.mst.registry import get_algorithm, available_algorithms
 
@@ -56,7 +55,6 @@ __all__ = [
     "verify_spanning_forest",
     "verify_minimum",
     "verify_minimum_cycle_property",
-    "verify_cut_property_sample",
     "get_algorithm",
     "available_algorithms",
 ]

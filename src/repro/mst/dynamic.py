@@ -151,13 +151,18 @@ class DynamicMSF:
     def path_index(self) -> ForestPathMax:
         """The forest's path-max index, ranks in key order.
 
-        Built on demand and kept until the forest changes, so a write
-        that leaves the forest alone reuses it.  Its ranks are positions
-        in :meth:`forest_arrays`, the rank order of an artifact of
+        Built on demand and kept until the forest changes or
+        :meth:`drop_index` frees it, so a write that leaves the forest
+        alone reuses it.  Its ranks are positions in
+        :meth:`forest_arrays`, the rank order of an artifact of
         :meth:`snapshot`: a query engine serving that artifact can take
         this index as its own.
         """
         return self._path_index()[0]
+
+    def drop_index(self) -> None:
+        """Free the path-max index; the next path question rebuilds it."""
+        self._index = None
 
     def find_edge(self, u: int, v: int, w: float | None = None) -> int | None:
         """Id of a live edge with endpoints ``{u, v}`` (and weight ``w``).

@@ -1,16 +1,22 @@
-"""MST verification.
+"""MST verification on one forest certificate.
 
-Three independent checks with increasing strength:
+Every verifier stands on the claimed forest's path-max index
+(:class:`~repro.graphs.tree_queries.ForestPathMax`, the verification
+step of Karger-Klein-Tarjan that :mod:`repro.mst.kkt` also runs).  Its
+build rejects a cycle, its component labels show whether the forest
+spans, and one batched query answers every non-tree edge's cycle
+maximum: whole-array NumPy work, no Python loop over edges.
 
 * :func:`verify_spanning_forest` — structural: the claimed edges form an
-  acyclic subgraph spanning each connected component of the input (pure
-  union-find argument, O(m alpha)).
-* :func:`verify_cut_property_sample` — semantic spot check: for sampled
-  tree edges, removing the edge splits its tree in two and the edge is the
-  minimum-rank edge crossing that cut (the cut property that every
-  algorithm's correctness proof leans on).
-* :func:`verify_minimum` — exact: with distinct weights the MSF is unique,
-  so the edge set must equal the Kruskal oracle's.
+  acyclic subgraph spanning each connected component of the input, and
+  the result's ``n_components`` and total match them.
+* :func:`verify_minimum_cycle_property` — exact and oracle-free: every
+  non-tree edge outranks each forest edge on the cycle it closes.  The
+  ranks are :attr:`~repro.graphs.csr.CSRGraph.ranks`, the unique
+  ``(weight, edge id)`` order of the paper's §V-A, under which only the
+  unique MSF passes; that forest has the cut property at every tree edge.
+* :func:`verify_minimum` — exact against a reference: the edge set must
+  equal the Kruskal oracle's.
 """
 
 from __future__ import annotations
@@ -19,16 +25,15 @@ import math
 
 import numpy as np
 
-from repro.errors import AlgorithmError
+from repro.errors import AlgorithmError, GraphError
 from repro.graphs.csr import CSRGraph
+from repro.graphs.tree_queries import ForestPathMax
 from repro.mst.base import MSTResult
-from repro.structures.union_find import UnionFind
 
 __all__ = [
     "verify_spanning_forest",
     "verify_minimum",
     "verify_minimum_cycle_property",
-    "verify_cut_property_sample",
     "stable_weight_sum",
     "weight_sums_consistent",
 ]
@@ -79,13 +84,13 @@ def weight_sums_consistent(total: float, w: np.ndarray) -> bool:
     return abs(float(total) - exact) <= tol
 
 
-def verify_spanning_forest(g: CSRGraph, result: MSTResult) -> None:
-    """Raise :class:`AlgorithmError` unless the result is a spanning forest.
+def _certify(g: CSRGraph, result: MSTResult) -> ForestPathMax:
+    """The path-max index (ranks ``g.ranks``) of ``result``'s spanning forest.
 
-    Checks: valid distinct edge ids; acyclic (every edge union succeeds);
-    spanning (the forest has exactly ``n - c`` edges where ``c`` is the
-    number of connected components of the input graph, i.e. it connects
-    everything the graph connects).
+    Raises :class:`AlgorithmError` unless the edge ids are in range and
+    distinct, the edges are acyclic (the index build rejects a cycle), no
+    edge of ``g`` joins two of the forest's trees, and ``result``'s
+    ``n_components`` and total match the edges.
     """
     ids = result.edge_ids
     if ids.size:
@@ -93,21 +98,30 @@ def verify_spanning_forest(g: CSRGraph, result: MSTResult) -> None:
             raise AlgorithmError("edge id out of range")
         if np.unique(ids).size != ids.size:
             raise AlgorithmError("duplicate edges in forest")
-    forest_uf = UnionFind(g.n_vertices)
-    for e in ids:
-        if not forest_uf.union(int(g.edge_u[e]), int(g.edge_v[e])):
-            raise AlgorithmError(f"edge {int(e)} closes a cycle")
-    graph_uf = UnionFind(g.n_vertices)
-    for u, v in zip(g.edge_u, g.edge_v):
-        graph_uf.union(int(u), int(v))
-    if forest_uf.n_sets != graph_uf.n_sets:
+    try:
+        index = ForestPathMax(g.n_vertices, g.edge_u[ids], g.edge_v[ids], g.ranks[ids])
+    except GraphError as exc:  # a cycle, or more edges than a forest holds
+        raise AlgorithmError(f"not a forest: {exc}") from exc
+    joins = np.flatnonzero(index.comp[g.edge_u] != index.comp[g.edge_v])
+    if joins.size:
         raise AlgorithmError(
-            f"forest has {forest_uf.n_sets} components, graph has {graph_uf.n_sets}"
+            f"forest does not span the graph: edge {int(joins[0])} joins two of its trees"
         )
-    if result.n_components != forest_uf.n_sets:
+    if result.n_components != g.n_vertices - ids.size:
         raise AlgorithmError("result.n_components inconsistent with edge set")
     if not weight_sums_consistent(result.total_weight, g.edge_w[ids]):
         raise AlgorithmError("total_weight inconsistent with edge set")
+    return index
+
+
+def verify_spanning_forest(g: CSRGraph, result: MSTResult) -> None:
+    """Raise :class:`AlgorithmError` unless the result is a spanning forest.
+
+    Checks: valid distinct edge ids; acyclic; spanning (it connects
+    everything the graph connects); ``n_components`` and the total
+    consistent with the edges.
+    """
+    _certify(g, result)
 
 
 def verify_minimum(g: CSRGraph, result: MSTResult) -> None:
@@ -130,63 +144,18 @@ def verify_minimum_cycle_property(g: CSRGraph, result: MSTResult) -> None:
     A spanning forest is minimum iff every non-tree edge is the heaviest
     edge on the cycle it closes — equivalently, its rank exceeds the
     maximum rank on the forest path between its endpoints.  Checked for
-    *all* non-tree edges with the
-    :class:`~repro.graphs.tree_queries.ForestPathMax` oracle
-    (O((n + m) log n)), independently of any other MST implementation.
+    *all* non-tree edges with one batched
+    :meth:`~repro.graphs.tree_queries.ForestPathMax.query_many` over the
+    certificate's index (O((n + m) log n) array work), independently of
+    any other MST implementation.
     """
-    from repro.graphs.tree_queries import DISCONNECTED, ForestPathMax
-
-    verify_spanning_forest(g, result)
-    ids = result.edge_ids
+    index = _certify(g, result)
     in_tree = np.zeros(g.n_edges, dtype=bool)
-    in_tree[ids] = True
-    oracle = ForestPathMax(
-        g.n_vertices, g.edge_u[ids], g.edge_v[ids], g.ranks[ids]
-    )
-    for e in np.flatnonzero(~in_tree):
-        pm = oracle.path_max(int(g.edge_u[e]), int(g.edge_v[e]))
-        if pm == DISCONNECTED:
-            # spanning check above guarantees this cannot happen
-            raise AlgorithmError(f"non-tree edge {int(e)} bridges components")
-        if pm > int(g.ranks[e]):
-            raise AlgorithmError(
-                f"cycle property violated: non-tree edge {int(e)} is lighter "
-                f"than a tree edge on its cycle"
-            )
-
-
-def verify_cut_property_sample(
-    g: CSRGraph,
-    result: MSTResult,
-    *,
-    n_samples: int = 32,
-    seed: int = 0,
-) -> None:
-    """Check the cut property on a random sample of tree edges.
-
-    For tree edge ``e``: drop it from the forest, 2-colour the vertices by
-    the side of the split they land on, and confirm no crossing edge has a
-    lower rank than ``e``.
-    """
-    ids = result.edge_ids
-    if ids.size == 0:
-        return
-    rng = np.random.default_rng(seed)
-    sample = rng.choice(ids, size=min(n_samples, ids.size), replace=False)
-    for e in sample:
-        uf = UnionFind(g.n_vertices)
-        for t in ids:
-            if t != e:
-                uf.union(int(g.edge_u[t]), int(g.edge_v[t]))
-        side_u = uf.find(int(g.edge_u[e]))
-        side_v = uf.find(int(g.edge_v[e]))
-        if side_u == side_v:
-            raise AlgorithmError(f"removing tree edge {int(e)} does not split its tree")
-        rank_e = int(g.ranks[e])
-        for o in range(g.n_edges):
-            a, b = uf.find(int(g.edge_u[o])), uf.find(int(g.edge_v[o]))
-            crosses = {a, b} == {side_u, side_v}
-            if crosses and int(g.ranks[o]) < rank_e:
-                raise AlgorithmError(
-                    f"cut property violated: edge {o} is lighter than tree edge {int(e)}"
-                )
+    in_tree[result.edge_ids] = True
+    off = np.flatnonzero(~in_tree)
+    lighter = off[index.query_many(g.edge_u[off], g.edge_v[off]) > g.ranks[off]]
+    if lighter.size:
+        raise AlgorithmError(
+            f"cycle property violated: non-tree edge {int(lighter[0])} is lighter "
+            f"than a tree edge on its cycle"
+        )

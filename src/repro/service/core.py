@@ -227,9 +227,18 @@ class MSTService(ArtifactService):
         return {"algorithm": self.algorithm}
 
     def _serve(self, artifact, graph: Optional[CSRGraph]) -> None:
-        self._dyn = None
+        # A reload of the graph already served keeps the repair, whose
+        # edge ids and parallel copies the snapshot's CSR does not hold.
+        if graph is None or graph is not self._graph:
+            self._dyn = None
         self._edges = None
         super()._serve(artifact, graph)
+
+    def invalidate(self) -> None:
+        """Drop the live engine and the path-max index the repair shares with it."""
+        super().invalidate()
+        if self._dyn is not None:
+            self._dyn.drop_index()
 
     @property
     def graph(self) -> Optional[CSRGraph]:
@@ -238,8 +247,8 @@ class MSTService(ArtifactService):
         After ``insert_edge`` / ``delete_edge`` it is the snapshot of the
         mutated edge set.  A write builds no CSR: the snapshot is built
         on the first read and cached, so only the code that solves or
-        reloads (an eviction reload, a store-less rebuild, the first
-        write after one, ``tenant stats``) pays for the adjacency.
+        reloads (an eviction reload, a store-less rebuild, ``tenant
+        stats``) pays for the adjacency.
         """
         if self._graph is None and self._edges is not None:
             self._graph = CSRGraph.from_edgelist(self._edges)

@@ -1,16 +1,20 @@
 """MSTResult assembly and the verifier (must reject corrupted forests)."""
 
+from collections import Counter, defaultdict
+
 import numpy as np
 import pytest
 
+from repro.checking.families import family_names, iter_cases
+from repro.checking.oracle import classify_result
 from repro.errors import AlgorithmError
 from repro.graphs.builder import from_edges
 from repro.graphs.generators import gnm_random_graph, road_network
 from repro.mst.base import MSTResult, result_from_edge_ids
 from repro.mst.kruskal import kruskal
 from repro.mst.verify import (
-    verify_cut_property_sample,
     verify_minimum,
+    verify_minimum_cycle_property,
     verify_spanning_forest,
 )
 
@@ -44,7 +48,6 @@ def test_result_rejects_bad_edge_ids(graph):
 def test_verify_accepts_correct_forest(graph, good):
     verify_spanning_forest(graph, good)
     verify_minimum(graph, good)
-    verify_cut_property_sample(graph, good, n_samples=8)
 
 
 def test_verify_rejects_cycle(graph, good):
@@ -110,34 +113,11 @@ def test_verify_minimum_rejects_spanning_but_not_minimal():
     pytest.skip("no spanning swap found")
 
 
-def test_cut_property_sample_rejects_heavier_swap():
-    g = road_network(6, 6, seed=7)
-    mst = kruskal(g)
-    tree = set(mst.edge_set())
-    # construct a spanning tree that is NOT minimal (as above), then the
-    # sampled cut check must fail with full sampling
-    for e in range(g.n_edges):
-        if e in tree:
-            continue
-        for t in list(tree):
-            candidate = (tree - {t}) | {e}
-            try:
-                alt = result_from_edge_ids(g, np.array(sorted(candidate)))
-                verify_spanning_forest(g, alt)
-            except AlgorithmError:
-                continue
-            with pytest.raises(AlgorithmError):
-                verify_cut_property_sample(g, alt, n_samples=alt.n_edges)
-            return
-    pytest.skip("no spanning swap found")
-
-
 def test_verify_empty_result():
     g = from_edges([], n_vertices=3)
     r = result_from_edge_ids(g, np.array([], dtype=np.int64))
     verify_spanning_forest(g, r)
     verify_minimum(g, r)
-    verify_cut_property_sample(g, r)
 
 
 def test_edge_set_and_n_edges(good):
@@ -146,7 +126,6 @@ def test_edge_set_and_n_edges(good):
 
 def test_cycle_property_verifier_accepts_all_algorithms(graph):
     from repro.mst.registry import available_algorithms, get_algorithm
-    from repro.mst.verify import verify_minimum_cycle_property
     from repro.runtime.simulated import SimulatedBackend
 
     for name in available_algorithms():
@@ -155,9 +134,6 @@ def test_cycle_property_verifier_accepts_all_algorithms(graph):
 
 
 def test_cycle_property_verifier_rejects_non_minimal():
-    from repro.graphs.generators import road_network
-    from repro.mst.verify import verify_minimum_cycle_property
-
     g = road_network(7, 7, seed=6)
     mst = kruskal(g)
     tree = set(mst.edge_set())
@@ -178,7 +154,97 @@ def test_cycle_property_verifier_rejects_non_minimal():
 
 
 def test_cycle_property_verifier_forest_input():
-    from repro.mst.verify import verify_minimum_cycle_property
 
     g = from_edges([(0, 1, 1.0), (1, 2, 5.0), (0, 2, 3.0), (3, 4, 2.0)], n_vertices=6)
     verify_minimum_cycle_property(g, kruskal(g))
+
+
+def _claim(ids, like: MSTResult) -> MSTResult:
+    """A result claiming ``ids`` with ``like``'s bookkeeping, unvalidated."""
+    return MSTResult(np.asarray(ids, dtype=np.int64), like.total_weight, like.n_components)
+
+
+def _heaviest_on_cycle(g, ids, e) -> int:
+    """The rank-greatest forest edge on the cycle ``e`` closes (plain BFS)."""
+    adj = defaultdict(list)
+    for t in ids.tolist():
+        adj[int(g.edge_u[t])].append((int(g.edge_v[t]), t))
+        adj[int(g.edge_v[t])].append((int(g.edge_u[t]), t))
+    u, v = int(g.edge_u[e]), int(g.edge_v[e])
+    via = {u: None}
+    queue = [u]
+    for x in queue:
+        for y, t in adj[x]:
+            if y not in via:
+                via[y] = (x, t)
+                queue.append(y)
+    path = []
+    while v != u:
+        v, t = via[v]
+        path.append(t)
+    return max(path, key=lambda t: int(g.ranks[t]))
+
+
+def _seeded_wrong_forests(g, good: MSTResult) -> dict:
+    """Wrong results derived from ``g``'s MSF, by name.
+
+    A swap replaces the heaviest tree edge on a non-tree edge's cycle
+    with that edge, so the forest stays spanning: ``swap`` uses the least
+    non-tree edge, ``tied-swap`` the least one whose swap keeps the
+    forest's weight.
+    """
+    ids = good.edge_ids
+    off = np.setdiff1d(np.arange(g.n_edges), ids)
+    wrong = {"out-of-range": _claim(np.append(ids, g.n_edges), good)}
+    if ids.size:
+        wrong["dropped"] = result_from_edge_ids(g, ids[1:])
+        wrong["repeated"] = _claim(np.append(ids, ids[0]), good)
+
+    def swap(e, t):
+        return result_from_edge_ids(g, np.append(ids[ids != t], e))
+
+    if off.size:
+        wrong["extra"] = result_from_edge_ids(g, np.append(ids, off[0]))
+        wrong["swap"] = swap(off[0], _heaviest_on_cycle(g, ids, off[0]))
+    for e in off.tolist():
+        t = _heaviest_on_cycle(g, ids, e)
+        if g.edge_w[t] == g.edge_w[e]:
+            wrong["tied-swap"] = swap(e, t)
+            break
+    return wrong
+
+
+def test_seeded_wrong_forests_fail_on_every_family():
+    verdicts, families, tied = Counter(), set(), set()
+    for case in iter_cases(0, 200, max_size=20):
+        g, good = case.graph, kruskal(case.graph)
+        families.add(case.family)
+        for verify in (verify_spanning_forest, verify_minimum, verify_minimum_cycle_property):
+            verify(g, good)
+        verdicts["kruskal", classify_result(g, good, good) or "ok"] += 1
+        for name, bad in _seeded_wrong_forests(g, good).items():
+            if name.endswith("swap"):
+                verify_spanning_forest(g, bad)
+                for verify in (verify_minimum, verify_minimum_cycle_property):
+                    with pytest.raises(AlgorithmError):
+                        verify(g, bad)
+            else:
+                with pytest.raises(AlgorithmError):
+                    verify_spanning_forest(g, bad)
+            if name == "tied-swap":
+                tied.add(case.family)
+            verdict = classify_result(g, bad, good)
+            verdicts[name, verdict[0] if verdict else "ok"] += 1
+    assert families == set(family_names())
+    assert {"all-equal-weights", "few-distinct-weights", "parallel-edges"} <= tied
+    # Counted with a union-find structural check, independent of the index.
+    assert verdicts == {
+        ("kruskal", "ok"): 200,
+        ("out-of-range", "invalid-forest"): 200,
+        ("dropped", "invalid-forest"): 164,
+        ("repeated", "invalid-forest"): 164,
+        ("extra", "invalid-forest"): 143,
+        ("swap", "not-minimum"): 104,
+        ("swap", "tie-divergence"): 39,
+        ("tied-swap", "tie-divergence"): 87,
+    }

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import QuotaExceededError, ServiceError
+from repro.graphs.builder import from_edges
 from repro.graphs.generators.random_graphs import gnm_random_graph
 from repro.mst.kruskal import kruskal
 from repro.platform import DEFAULT_QUOTA, GraphPlatform, TenantQuota
@@ -200,6 +201,23 @@ class TestMutateEndToEnd:
         assert after["misses"] == before["misses"]
         assert svc.bottleneck(0, 59) == 0.001
         assert platform.entry("acme", "g1").graph.n_edges == g.n_edges + 1
+
+    def test_an_eviction_keeps_a_mutated_entry_s_parallel_edge(self, tmp_path):
+        a = from_edges([(0, 1, 3.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 9.0)], n_vertices=4)
+        weights = []
+        for evict in (False, True):
+            platform = GraphPlatform(tmp_path / str(evict))
+            platform.add_tenant("acme", TenantQuota(resident_budget=1))
+            platform.add_graph("acme", "a", a)
+            platform.add_graph("acme", "b", gnm_random_graph(40, 90, seed=5))
+            platform.mutate("acme", "a", "insert", 0, 1, 5.0)  # beside (0, 1, 3.0)
+            if evict:
+                platform.get_service("acme", "b").total_weight()
+                assert not platform.entry("acme", "a").resident
+                platform.get_service("acme", "a").total_weight()  # the reload
+            platform.mutate("acme", "a", "delete", 0, 1)  # the key-least copy
+            weights.append(platform.get_service("acme", "a").total_weight())
+        assert weights == [7.0, 7.0]
 
     def test_sharded_entry_keeps_provenance_after_mutation(self, g):
         platform = GraphPlatform()

@@ -6,12 +6,15 @@ straight from :class:`~repro.mst.dynamic.DynamicMSF`: it builds no CSR
 repair's own path-max index, rebuilt only when the forest changed.
 """
 
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.checking.faults import _same_content
+from repro.graphs.builder import from_edges
 from repro.graphs.csr import CSRGraph
 from repro.graphs.edgelist import EdgeList
 from repro.graphs.generators import gnm_random_graph
@@ -138,3 +141,58 @@ def test_mixed_writes_serve_the_index_and_graph_of_a_fresh_load(tmp_path, tied):
 
     bare.invalidate()  # no store: re-solves the lazily built graph
     assert _same_content(bare.artifact, served)
+
+
+# A parallel copy beside a tree edge, then deletes that take the key-least
+# copy first: lost if an eviction's reload re-seeds the repair from the
+# snapshot, where parallel copies are collapsed and ids renumbered.
+EVICTION_WRITES = [
+    ("insert", 0, 1, 5.0), ("insert", 2, 0, 4.0), ("delete", 0, 1),
+    ("insert", 1, 3, 0.5), ("delete", 0, 1), ("insert", 0, 1, 2.0),
+]
+
+
+def _run_writes(svc: MSTService, evict: bool):
+    """Apply :data:`EVICTION_WRITES`, with ``evict`` evicting and reloading first.
+
+    Returns the insert ids and, per eviction, whether the served index
+    was freed by ``invalidate()``.
+    """
+    ids, freed = [], []
+    for op, u, v, *w in EVICTION_WRITES:
+        if evict:
+            index = weakref.ref(svc.ensure_ready()._oracle)
+            svc.invalidate()
+            gc.collect()
+            freed.append(index() is None)
+            svc.total_weight()
+        if op == "insert":
+            ids.append(svc.insert_edge(u, v, *w))
+        else:
+            svc.delete_edge(u, v, *w)
+    return ids, freed
+
+
+@pytest.mark.parametrize("stored", [True, False], ids=["store", "no-store"])
+def test_an_eviction_neither_changes_a_mutated_graph_nor_keeps_its_index(tmp_path, stored):
+    g = from_edges([(0, 1, 3.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 9.0)], n_vertices=4)
+    runs = {}
+    for evict in (False, True):
+        svc = MSTService(ArtifactStore(tmp_path / str(evict)) if stored else None)
+        svc.load_graph(g)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            ids, freed = _run_writes(svc, evict)
+        builds = sum(s.name == "index:build" for s in tracer.sorted_spans())
+        runs[evict] = svc, ids, freed, builds
+    (plain, plain_ids, _, plain_builds), (evicted, ids, freed, builds) = runs[False], runs[True]
+    assert ids == plain_ids == [4, 5, 6, 7]
+    assert plain.total_weight() == evicted.total_weight() == 3.5
+    assert _same_content(evicted.artifact, plain.artifact)
+    for name in CSR_ARRAYS:
+        got, want = getattr(evicted.graph, name), getattr(plain.graph, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert freed == [True] * len(EVICTION_WRITES)
+    # Each eviction costs at most two indexes, the reload's and the next
+    # write's: what re-seeding the repair from the snapshot cost.
+    assert builds <= plain_builds + 2 * len(EVICTION_WRITES)
