@@ -144,6 +144,28 @@ class ForestPathMax:
         """True when ``u`` and ``v`` share a tree."""
         return self.comp[u] == self.comp[v]
 
+    def subtree_mask(self, c: int) -> np.ndarray:
+        """Boolean mask of the vertices in the subtree rooted at ``c``.
+
+        An ancestor test on the depth and binary-lifting tables: each
+        vertex of ``c``'s tree at least as deep as ``c`` is lifted to
+        ``c``'s depth, level by level for all of them at once, and is in
+        the subtree when it lands on ``c``.  Cutting the edge above ``c``
+        splits its tree into this mask and the rest.
+        """
+        if not (0 <= c < self.n):
+            raise GraphError("query vertex out of range")
+        depth = self.depth
+        below = np.flatnonzero((self.comp == self.comp[c]) & (depth >= depth[c]))
+        anc = below.copy()
+        diff = depth[below] - depth[c]
+        for k in range(self._levels):
+            hasbit = np.flatnonzero((diff >> k) & 1)
+            anc[hasbit] = self._up[k, anc[hasbit]]
+        mask = np.zeros(self.n, dtype=bool)
+        mask[below[anc == c]] = True
+        return mask
+
     def path_max(self, u: int, v: int) -> int:
         """Maximum edge rank on the tree path ``u .. v``.
 

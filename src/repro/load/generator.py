@@ -211,7 +211,7 @@ def run_scenario(
     """
     engine = service.ensure_ready()
     if events is None:
-        events = generate_events(scenario, engine.artifact.n_vertices)
+        events = generate_events(scenario, engine.n_vertices)
     recorder = Recorder() if record else None
 
     async def main() -> LoadResult:

@@ -8,11 +8,12 @@ drives sustained traffic at the async front-end while faults fire
 mid-run, and the harness then asserts the documented degradations held
 *with traffic in flight*:
 
-* ``artifact-corruption`` — the persisted ``.npz`` artifact is corrupted
-  (seeded kind from :data:`repro.checking.faults.FAULT_KINDS`) and the
-  engine invalidated mid-load; the batch worker must rebuild inline and
-  the post-run forest must match a fresh Kruskal solve of the current
-  graph;
+* ``artifact-corruption`` — the served version's ``.npz`` file is
+  corrupted (seeded kind from :data:`repro.checking.faults.FAULT_KINDS`)
+  and the engine invalidated mid-load; the batch worker must rebuild
+  inline, a second service loading the current graph from the same
+  store must count the corruption and serve the same total, and the
+  post-run forest must match a fresh Kruskal solve of the current graph;
 * ``worker-crash`` / ``worker-hang`` — a sharded solve with a seeded
   :class:`~repro.shard.ShardFault` (worker ``os._exit`` / hang-and-reap)
   runs concurrently with the load in a thread; its forest must equal the
@@ -69,8 +70,15 @@ async def _inject_artifact_corruption(
     svc: MSTService, store: ArtifactStore, at_s: Sequence[float], seed: int,
     outcome: FaultOutcome,
 ) -> None:
-    """Corrupt the live artifact + invalidate the engine at each offset."""
-    from repro.checking.faults import FAULT_KINDS, corrupt_artifact
+    """Corrupt the served version's file + invalidate the engine at each offset.
+
+    Reading ``svc.artifact`` persists a mutated version first.  A mutated
+    service rebuilds its engine without reading the store, so the file is
+    read back by a second service loading ``svc.graph``: it must count
+    the corruption, re-solve, and serve ``svc``'s total.  Only an
+    injection that corrupted a file counts.
+    """
+    from repro.checking.faults import FAULT_KINDS, _same_content, corrupt_artifact
 
     start = asyncio.get_running_loop().time()
     for i, offset in enumerate(at_s):
@@ -79,11 +87,27 @@ async def _inject_artifact_corruption(
             await asyncio.sleep(delay)
         kind = FAULT_KINDS[i % len(FAULT_KINDS)]
         try:
-            path = store.path_for(svc.artifact.fingerprint)
-            if path.exists():
-                corrupt_artifact(path, kind, seed=seed + i)
+            served = svc.artifact
+            path = store.path_for(served.fingerprint)
+            if not path.exists():
+                continue
+            corrupt_artifact(path, kind, seed=seed + i)
             svc.invalidate()
             outcome.injected += 1
+            replaced = store.corrupt_replaced
+            reader = MSTService(store, algorithm=svc.algorithm, mode=svc.mode)
+            again = reader.load_graph(svc.graph)
+            # A bit flip can land where the decoder never looks; the file
+            # then loads with the served content (see check_artifact_degradation).
+            counted = store.corrupt_replaced - replaced == 1 or _same_content(again, served)
+            if not counted or reader.total_weight() != svc.total_weight():
+                outcome.ok = False
+                outcome.detail = (
+                    f"{kind} corruption: corrupt_replaced rose by "
+                    f"{store.corrupt_replaced - replaced}; a second service "
+                    f"served weight {reader.total_weight()} for {svc.total_weight()}"
+                )
+                return
         except Exception as exc:  # injection itself must never kill the soak
             outcome.ok = False
             outcome.detail = f"injection failed: {type(exc).__name__}: {exc}"

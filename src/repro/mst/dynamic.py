@@ -16,11 +16,11 @@ and cut questions go to a :class:`~repro.graphs.tree_queries.ForestPathMax`
 over the forest, which also holds the forest's ids in key order.  A write
 costs O(m) NumPy work (one slot appended or dropped, one mask over the
 live edges) and an insert one O(log n) path query.  The index is rebuilt
-(O(n log n) pointer jumping) only after the forest changed: once per
-forest-changing insert, and once or twice per tree-edge delete (the
-forest without the edge, then with its replacement).  A write that
-leaves the forest alone builds none, and :meth:`forest_arrays` reads the
-forest off the index with no sort.  The poly-log structures of Holm-de
+(O(n log n) pointer jumping) only after the forest changed, once per
+forest-changing write: a tree-edge delete finds its cut on the index
+that still holds the edge, by an ancestor test.  A write that leaves the
+forest alone builds none, and :meth:`forest_arrays` reads the forest off
+the index with no sort.  The poly-log structures of Holm-de
 Lichtenberg-Thorup are out of scope.
 
 Edges are totally ordered by ``(weight, min endpoint, max endpoint, id)``,
@@ -76,13 +76,19 @@ class DynamicMSF:
         self._index: Optional[Tuple[ForestPathMax, np.ndarray]] = None
 
     @classmethod
-    def from_graph(cls, g: CSRGraph, forest_edge_ids) -> "DynamicMSF":
+    def from_graph(
+        cls, g: CSRGraph, forest_edge_ids, index: ForestPathMax | None = None
+    ) -> "DynamicMSF":
         """Load ``g`` with its MSF; dynamic edge ids equal the graph's edge ids.
 
         ``forest_edge_ids`` names a minimum spanning forest of ``g`` (a
         served artifact's ``msf_edge_ids``), so no solver runs.  Ids out of
         range, or edges that are not a spanning forest of ``g``, raise
-        :class:`~repro.errors.GraphError`.
+        :class:`~repro.errors.GraphError`.  ``index`` is a path-max index
+        whose ranks are positions in ``forest_edge_ids`` (the engine's over
+        that artifact); it becomes this forest's own, with no build, when
+        that order is the key order, as it is on every graph with edge ids
+        in ``(u, v)`` order.
         """
         fids = np.asarray(forest_edge_ids, dtype=np.int64)
         if fids.size and (fids.min() < 0 or fids.max() >= g.n_edges):
@@ -93,7 +99,11 @@ class DynamicMSF:
         msf._u, msf._v, msf._w = g.edge_u, g.edge_v, g.edge_w
         msf._tree = np.zeros(g.n_edges, dtype=bool)
         msf._tree[fids] = True
-        comp = msf._path_index()[0].comp  # raises on a cycle
+        if index is not None:
+            f = msf._forest()  # ids are positions here
+            if np.array_equal(f, fids):
+                msf._index = (index, f)
+        comp = msf._path_index()[0].comp  # a build raises on a cycle
         if (comp[msf._u] != comp[msf._v]).any():
             raise GraphError("forest does not span the graph")
         return msf
@@ -227,19 +237,24 @@ class DynamicMSF:
         """Remove an edge by id, repairing the forest if needed."""
         p = self._position(eid)
         was_tree = self._tree[p]
+        if was_tree:
+            # The cut the edge leaves, read off the index that still holds
+            # it: its deeper endpoint's subtree against the rest.
+            index = self._path_index()[0]
+            x, y = int(self._u[p]), int(self._v[p])
+            side = index.subtree_mask(x if index.depth[x] > index.depth[y] else y)
         self._ids, self._u, self._v, self._w, self._tree = (
             np.delete(a, p) for a in (self._ids, self._u, self._v, self._w, self._tree)
         )
         if not was_tree:
             return
-        # In the forest without it, the two halves are the only trees a
-        # live non-tree edge can join: promote the key-least such edge.
+        # Every non-tree edge joins two vertices of one tree, so the edges
+        # across the cut are those with one end on each side: promote the
+        # key-least such edge.
         self._index = None
-        comp = self._path_index()[0].comp
-        cross = np.flatnonzero(~self._tree & (comp[self._u] != comp[self._v]))
+        cross = np.flatnonzero(~self._tree & (side[self._u] != side[self._v]))
         if cross.size:
             self._tree[cross[self._order(cross)[0]]] = True
-            self._index = None
 
     # ------------------------------------------------------------------
     # Export / verification hooks

@@ -13,14 +13,16 @@ Residency is two-tier, mirroring the artifact design: *registration*
 hard ``max_graphs`` quota, while *residency* (the built query engine —
 the expensive index) is bounded by the soft ``resident_budget`` and
 managed LRU: the least-recently-used engine is dropped via
-``invalidate()``, and the next query rebuilds it warm from the store.
-Eviction therefore never loses data and never rejects — it trades the
-evicted tenant's next-query latency for everyone else's memory.
+``invalidate()``, and the next query rebuilds it warm: from the store,
+or, for a mutated entry, from the repair its service keeps.  Eviction
+therefore never loses data and never rejects — it trades the evicted
+tenant's next-query latency for everyone else's memory.
 
 Mutations (MST entries only) are the service's inline
-:class:`~repro.mst.dynamic.DynamicMSF` repair, which also saves the
-repaired artifact to the store, so a mutated entry that is evicted
-reloads warm.
+:class:`~repro.mst.dynamic.DynamicMSF` repair.  A write saves nothing:
+the mutated version is packaged and saved to the store when something
+reads its artifact or graph, and the store keeps at most one mutated
+version per entry.
 """
 
 from __future__ import annotations
@@ -331,9 +333,10 @@ class GraphPlatform:
         """Apply one edge mutation; returns the edge id of an insert.
 
         The service's incremental repair (``DynamicMSF``) serves the
-        mutated graph at once and saves its artifact to the store, when
-        the platform has one.
-        Mutations are an MST capability; problem entries reject them.
+        mutated graph at once; its artifact reaches the store, when the
+        platform has one, on the first read of the entry's artifact or
+        graph.  Mutations are an MST capability; problem entries reject
+        them.
         """
         with self._lock:
             e = self.entry(tenant, name)

@@ -67,6 +67,7 @@ __all__ = [
     "update_graph_hash",
     "artifact_from_result",
     "artifact_from_forest",
+    "forest_total",
     "solve_artifact",
     "save_npz_artifact",
     "load_npz_artifact",
@@ -351,20 +352,35 @@ def artifact_from_forest(
 ) -> MSFArtifact:
     """Package the forest ``eids`` of canonical ``edges``, given in rank order.
 
-    The service's write path: a repaired
+    The service's mutated versions: a repaired
     :class:`~repro.mst.dynamic.DynamicMSF` forest arrives already in the
     ``(weight, edge id)`` order of its snapshot, so no CSR is built and
-    nothing is sorted.  Every field equals what :func:`artifact_from_result`
-    makes of a solve of ``CSRGraph.from_edgelist(edges)``: the same
-    fingerprint bytes, and the total summed in edge-id order as
-    :func:`~repro.mst.base.result_from_edge_ids` sums it.
+    only the forest's ids are sorted, for the total.  Every field equals
+    what :func:`artifact_from_result` makes of a solve of
+    ``CSRGraph.from_edgelist(edges)``: the same fingerprint bytes, and the
+    total as :func:`forest_total` sums it.
     """
     eids = np.asarray(eids, dtype=np.int64)
-    with np.errstate(over="ignore"):
-        total = float(edges.w[np.sort(eids)].sum()) if eids.size else 0.0
+    total = forest_total(edges.w[np.sort(eids)])
     return _package(
         edges, eids, algorithm, mode, None, total, edges.n_vertices - int(eids.size)
     )
+
+
+def forest_total(w: np.ndarray) -> float | int:
+    """An artifact's ``total_weight`` of the forest weights ``w``, in edge-id order.
+
+    Integer weights sum exactly (int64 wraps the same in any order).
+    Float weights are summed in the order given, the snapshot edge-id
+    order :func:`~repro.mst.base.result_from_edge_ids` sums a solve's
+    forest in, so the bits match a fresh solve's.
+    """
+    if w.dtype.kind in "iu":
+        return int(w.sum())
+    # Weights near the float ceiling saturate the total to +-inf, as they
+    # do in a solve.
+    with np.errstate(over="ignore"):
+        return float(w.sum())
 
 
 def _package(g, eids, algorithm, mode, fingerprint, total, n_components) -> MSFArtifact:

@@ -12,12 +12,13 @@ names only its artifact recipe, its engine, and its typed queries.
 :class:`~repro.service.engine.QueryEngine` (batched answers) plus
 incremental mutation via :class:`~repro.mst.dynamic.DynamicMSF` — an
 edge insert or delete repairs the maintained forest, never re-solving
-the MSF.  A write sorts the live edges once (their deduplicated edge
-list, which the fingerprint hashes), packages the repaired forest
-without building a CSR, saves it, and serves it through
-:class:`DynamicMSF`'s own path-max index, rebuilt only when the forest
-changed.  The snapshot's CSR is built on the first read of
-:attr:`MSTService.graph`.
+the MSF.  A write ends at the repair: the engine takes the repaired
+forest's weights, its total and :class:`DynamicMSF`'s own path-max
+index (rebuilt only when the forest changed).  The version's artifact
+(fingerprint, edge ids) is packaged, and persisted to the store, on the
+first read of :attr:`MSTService.artifact` or :attr:`MSTService.graph`,
+which also builds the snapshot's CSR; a version nobody reads is never
+packaged.  The store keeps at most one mutated version per service.
 :class:`~repro.solve.service.ProblemService` is the same lifecycle for
 the registered problems, and :func:`service_for` picks between them.
 
@@ -50,6 +51,7 @@ from repro.service.artifacts import (
     MST,
     ArtifactStore,
     artifact_from_forest,
+    forest_total,
     load_json_artifact,
     load_npz_artifact,
     solve_artifact,
@@ -65,9 +67,9 @@ class ArtifactService:
 
     Subclasses set ``problem`` (the artifact kind they host),
     ``query_kinds`` (the async front-end's admission table) and
-    ``_engine_type``, and return their solve recipe from :meth:`_recipe`
-    — the keywords :meth:`ArtifactStore.get_or_compute` addresses and
-    solves by.
+    ``_engine_type`` (or override :meth:`_serve`), and return their solve
+    recipe from :meth:`_recipe` — the keywords
+    :meth:`ArtifactStore.get_or_compute` addresses and solves by.
     """
 
     problem: str
@@ -205,7 +207,6 @@ class MSTService(ArtifactService):
 
     problem = MST
     query_kinds = QUERY_KINDS
-    _engine_type = QueryEngine
 
     def __init__(
         self,
@@ -218,21 +219,36 @@ class MSTService(ArtifactService):
     ) -> None:
         super().__init__(store, mode=mode, backend=backend, metrics=metrics)
         self.algorithm = algorithm
+        # The repair, from the first write that succeeds after a load.
         self._dyn: Optional[DynamicMSF] = None
-        # After a write: the snapshot's edge list, whose CSR ``graph``
-        # builds on first read.
+        # The served version's artifact; after a write, None until read.
+        self._artifact = None
+        # A mutated version's snapshot edge list, from the same first read.
         self._edges: Optional[EdgeList] = None
+        # The fingerprint of the last load, and of the mutated-version file
+        # this service wrote (None when the file was there before its save).
+        self._loaded: Optional[str] = None
+        self._saved: Optional[str] = None
 
     def _recipe(self) -> dict:
         return {"algorithm": self.algorithm}
 
     def _serve(self, artifact, graph: Optional[CSRGraph]) -> None:
-        # A reload of the graph already served keeps the repair, whose
-        # edge ids and parallel copies the snapshot's CSR does not hold.
-        if graph is None or graph is not self._graph:
-            self._dyn = None
-        self._edges = None
-        super()._serve(artifact, graph)
+        self._graph, self._artifact, self._loaded = graph, artifact, artifact.fingerprint
+        self._dyn = self._edges = None
+        self._engine = QueryEngine.from_artifact(artifact, backend=self.backend)
+
+    def ensure_ready(self):
+        """The live engine; a mutated service rebuilds it from its repair.
+
+        After :meth:`invalidate`, a service that has taken a write builds
+        one path-max index over its :class:`DynamicMSF` forest: no CSR, no
+        fingerprint, no store read and no solve.  Any other service
+        reloads its graph as :meth:`ArtifactService.ensure_ready` does.
+        """
+        if self._engine is None and self._dyn is not None:
+            self._engine = self._engine_from(self._dyn)
+        return super().ensure_ready()
 
     def invalidate(self) -> None:
         """Drop the live engine and the path-max index the repair shares with it."""
@@ -241,18 +257,69 @@ class MSTService(ArtifactService):
             self._dyn.drop_index()
 
     @property
+    def artifact(self):
+        """The currently served artifact.
+
+        A mutated version is packaged on its first read (of this or of
+        :attr:`graph`), once, and persisted then if a store is attached.
+        """
+        self.ensure_ready()
+        return self._version()
+
+    @property
     def graph(self) -> Optional[CSRGraph]:
         """The currently served graph (``None`` in offline-artifact mode).
 
         After ``insert_edge`` / ``delete_edge`` it is the snapshot of the
-        mutated edge set.  A write builds no CSR: the snapshot is built
-        on the first read and cached, so only the code that solves or
-        reloads (an eviction reload, a store-less rebuild, ``tenant
-        stats``) pays for the adjacency.
+        mutated edge set.  A write builds no CSR: the first read packages
+        the version (see :attr:`artifact`) and builds the snapshot from its
+        edge list, once.
         """
-        if self._graph is None and self._edges is not None:
+        if self._graph is None and self._dyn is not None:
+            self._version()
             self._graph = CSRGraph.from_edgelist(self._edges)
         return self._graph
+
+    def _version(self):
+        """The served version's artifact, packaged and persisted on first read.
+
+        No solve: the repaired forest is the snapshot's MSF under the
+        ``(weight, edge id)`` order every solver uses, and it comes out of
+        :meth:`DynamicMSF.forest_arrays` in that order, so
+        :func:`artifact_from_forest` packages it as a fresh solve would,
+        with no CSR.
+        """
+        if self._artifact is None:
+            dyn = self._dyn
+            edges = dyn.edges()
+            fu, fv, _, _ = dyn.forest_arrays()
+            # Snapshot edges are deduplicated (u < v) pairs in pair-word
+            # order: one search maps the forest onto snapshot edge ids.
+            n = edges.n_vertices
+            eids = np.searchsorted(
+                pair_word(edges.u, edges.v, n),
+                pair_word(np.minimum(fu, fv), np.maximum(fu, fv), n),
+            )
+            artifact = artifact_from_forest(edges, eids, self.algorithm, self.mode)
+            if self.store is not None:
+                self._persist(artifact)
+            self._artifact, self._edges = artifact, edges
+        return self._artifact
+
+    def _persist(self, artifact) -> None:
+        """Save a mutated version; remove the one this service saved before.
+
+        The store keeps at most one mutated version per service: only a
+        file this service created (absent before its save) is removed, and
+        never the content it loaded.  A reader that finds a removed file
+        missing re-solves it.
+        """
+        fp, prev = artifact.fingerprint, self._saved
+        created = fp == prev or fp not in self.store
+        self.store.save(artifact)
+        if prev not in (None, fp, self._loaded):
+            self.store.invalidate(prev)
+        self._saved = fp if created else None
 
     # ------------------------------------------------------------------
     # Queries
@@ -296,18 +363,19 @@ class MSTService(ArtifactService):
         return self._timed("weight", lambda: self.ensure_ready().total_weight())
 
     # ------------------------------------------------------------------
-    # Mutation — incremental artifact/index refresh via DynamicMSF
+    # Mutation — incremental forest and index repair via DynamicMSF
     # ------------------------------------------------------------------
-    def _require_dynamic(self) -> DynamicMSF:
-        if self._dyn is None:
-            g = self.graph
-            if g is None:
-                raise ServiceError(
-                    "mutations need the full edge set; load a graph (not an offline artifact)"
-                )
-            # Seeded with the served forest: no mutation runs a solver.
-            self._dyn = DynamicMSF.from_graph(g, self.artifact.msf_edge_ids)
-        return self._dyn
+    def _dynamic(self) -> DynamicMSF:
+        """The repair; before the first write, seeded from the served forest."""
+        if self._dyn is not None:
+            return self._dyn
+        if self._graph is None:
+            raise ServiceError(
+                "mutations need the full edge set; load a graph (not an offline artifact)"
+            )
+        engine = self.ensure_ready()
+        # No mutation runs a solver, and the first reuses the engine's index.
+        return DynamicMSF.from_graph(self._graph, self._artifact.msf_edge_ids, engine._oracle)
 
     def insert_edge(self, u: int, v: int, w: float) -> int:
         """Insert an edge; the forest and index update incrementally.
@@ -315,17 +383,17 @@ class MSTService(ArtifactService):
         Returns the edge's id in the dynamic edge store.  The maintained
         forest is repaired by one path-max query (cycle property swap) —
         the MSF is never re-solved — and the query index is rebuilt only
-        when the edge joined the forest.  No CSR is built (see
-        :attr:`graph`).  ``w`` keeps the graph's weight dtype; a weight
-        that dtype cannot hold exactly raises
-        :class:`~repro.errors.ServiceError`.
+        when the edge joined the forest.  Nothing is packaged, persisted
+        or built into a CSR (see :attr:`artifact`).  ``w`` keeps the
+        graph's weight dtype; a weight that dtype cannot hold exactly
+        raises :class:`~repro.errors.ServiceError`.
         """
-        dyn = self._require_dynamic()
+        dyn = self._dynamic()
         try:
             eid = dyn.insert_edge(int(u), int(v), w)
         except WeightError as exc:
             raise ServiceError(str(exc)) from exc
-        self._refresh_from_dynamic()
+        self._serve_repair(dyn)
         return eid
 
     def delete_edge(self, u: int, v: int, w: float | None = None) -> None:
@@ -335,44 +403,34 @@ class MSTService(ArtifactService):
         matches.  Tree-edge deletions promote the lightest replacement
         across the cut (cut property), again without re-solving.
         """
-        dyn = self._require_dynamic()
+        dyn = self._dynamic()
         eid = dyn.find_edge(int(u), int(v), w)
         if eid is None:
             raise ServiceError(f"no live edge between {u} and {v}" +
                                (f" with weight {w}" if w is not None else ""))
         dyn.delete_edge(eid)
-        self._refresh_from_dynamic()
+        self._serve_repair(dyn)
 
-    def _refresh_from_dynamic(self) -> None:
-        """Package :attr:`_dyn`'s forest as the snapshot's artifact and serve it.
-
-        No solve: the repaired forest is the snapshot's MSF under the
-        ``(weight, edge id)`` order every solver uses, and it comes out
-        of :meth:`DynamicMSF.forest_arrays` in that order, so
-        :func:`artifact_from_forest` packages it as a fresh solve would
-        with no CSR and no sort.  The engine serves :class:`DynamicMSF`'s
-        own path-max index.
-        """
+    def _serve_repair(self, dyn: DynamicMSF) -> None:
+        """Serve the repaired forest as a new version: a write's last step."""
         t0 = time.perf_counter()
         with _obs_span("service:mutation", "service"):
-            dyn = self._dyn
-            edges = dyn.edges()  # the one sort a write keeps
-            self._edges, self._graph = edges, None
-            fu, fv, _, _ = dyn.forest_arrays()
-            # Snapshot edges are deduplicated (u < v) pairs in pair-word
-            # order: one search maps the forest onto snapshot edge ids.
-            n = edges.n_vertices
-            eids = np.searchsorted(
-                pair_word(edges.u, edges.v, n),
-                pair_word(np.minimum(fu, fv), np.maximum(fu, fv), n),
-            )
-            artifact = artifact_from_forest(edges, eids, self.algorithm, self.mode)
-            if self.store is not None:
-                self.store.save(artifact)
-            self._engine = QueryEngine(
-                artifact, backend=self.backend, oracle=dyn.path_index()
-            )
+            self._dyn = dyn
+            self._artifact = self._edges = self._graph = None
+            self._engine = self._engine_from(dyn)
         self.metrics.record_query("mutation", time.perf_counter() - t0)
+
+    def _engine_from(self, dyn: DynamicMSF) -> QueryEngine:
+        """An engine over the repaired forest and the repair's own index.
+
+        The total is summed in the forest's pair-word order, which is the
+        snapshot's edge-id order: the bits of the version's artifact, from
+        a sort of the forest edges alone.
+        """
+        fu, fv, fw, _ = dyn.forest_arrays()
+        n = dyn.n_vertices
+        order = np.argsort(pair_word(np.minimum(fu, fv), np.maximum(fu, fv), n))
+        return QueryEngine(fw, forest_total(fw[order]), dyn.path_index(), backend=self.backend)
 
     # ------------------------------------------------------------------
     def save_artifact_json(self, path: str | Path) -> None:

@@ -1,9 +1,11 @@
-"""Batched MSF query engine: whole-array answers over a solved artifact.
+"""Batched MSF query engine: whole-array answers over one solved forest.
 
-One engine wraps one :class:`~repro.service.artifacts.MSFArtifact` and
-answers five query families, all vectorized (NumPy whole-array lookups for
-thousands of pairs per call, in the style of the sparse-kernel batch
-semiring queries of Baer et al.):
+One engine serves one minimum spanning forest (a solved
+:class:`~repro.service.artifacts.MSFArtifact`, or the repaired forest of
+the service's write path) and answers five query families, all
+vectorized (NumPy whole-array lookups for thousands of pairs per call,
+in the style of the sparse-kernel batch semiring queries of Baer et
+al.):
 
 ``connected``
     Same-tree test — one gather and compare per pair.
@@ -19,7 +21,7 @@ semiring queries of Baer et al.):
     path bottleneck strictly (cycle property; ties lose to the incumbent,
     matching the library-wide insertion-order tie-break).
 ``weight``
-    Total forest weight (a constant-time artifact lookup).
+    Total forest weight (a constant-time lookup).
 
 Every batch charges its work/span through an optional backend exactly
 like the :mod:`repro.kernels` fast paths, so service traffic composes
@@ -48,35 +50,43 @@ QUERY_KINDS = (
 
 
 class QueryEngine:
-    """Vectorized query layer over one solved-MSF artifact.
+    """Vectorized query layer over one minimum spanning forest.
 
-    ``oracle`` is the artifact's path-max index when the caller already
-    holds one over the same forest in the same rank order (the service's
-    write path hands over :meth:`DynamicMSF.path_index
-    <repro.mst.dynamic.DynamicMSF.path_index>`); by default the engine
-    builds it from the artifact.
+    It holds what the queries read and nothing else: the forest weights
+    in rank order (``msf_w``), the forest's total weight, and ``oracle``,
+    a path-max index whose ranks are positions in ``msf_w``.
+    :meth:`from_artifact` takes them from a solved artifact and builds the
+    index; the service's write path hands them over from
+    :class:`~repro.mst.dynamic.DynamicMSF` (its :meth:`forest_arrays
+    <repro.mst.dynamic.DynamicMSF.forest_arrays>` and :meth:`path_index
+    <repro.mst.dynamic.DynamicMSF.path_index>`).
     """
 
     def __init__(
-        self, artifact: MSFArtifact, *, backend=None, oracle: ForestPathMax | None = None
+        self, msf_w: np.ndarray, total_weight: float | int, oracle: ForestPathMax,
+        *, backend=None,
     ) -> None:
-        self.artifact = artifact
+        self.msf_w = msf_w
         self.backend = backend
-        self._oracle = oracle if oracle is not None else artifact.oracle()
+        self._total = total_weight
+        self._oracle = oracle
         # Component label = least vertex id in the tree (BFS root order);
         # sizes indexed by that label.
-        comp = self._oracle.comp
+        n = oracle.n
         self._sizes = (
-            np.bincount(comp, minlength=artifact.n_vertices)
-            if artifact.n_vertices
-            else np.zeros(0, dtype=np.int64)
+            np.bincount(oracle.comp, minlength=n) if n else np.zeros(0, dtype=np.int64)
         )
+
+    @classmethod
+    def from_artifact(cls, artifact: MSFArtifact, *, backend=None) -> "QueryEngine":
+        """The engine over a solved artifact, its path-max index built here."""
+        return cls(artifact.msf_w, artifact.total_weight, artifact.oracle(), backend=backend)
 
     # ------------------------------------------------------------------
     @property
     def n_vertices(self) -> int:
         """Vertex count of the served graph."""
-        return self.artifact.n_vertices
+        return self._oracle.n
 
     def _charge(self, work: int, n_tasks: int) -> None:
         """Account one batch as a balanced parallel pass (PR-1 kernel rule)."""
@@ -126,7 +136,7 @@ class QueryEngine:
         out = np.zeros(qu.size, dtype=np.float64)
         pos = ranks >= 0
         if pos.any():
-            out[pos] = self.artifact.msf_w[ranks[pos]]
+            out[pos] = self.msf_w[ranks[pos]]
         disc = self._oracle.comp[qu] != self._oracle.comp[qv]
         out[disc] = np.inf
         self._charge(qu.size * max(self._oracle.levels, 1), qu.size)
@@ -152,7 +162,7 @@ class QueryEngine:
     def total_weight(self) -> float:
         """Total weight of the served forest."""
         self._charge(1, 1)
-        return float(self.artifact.total_weight)
+        return float(self._total)
 
     # ------------------------------------------------------------------
     def execute(self, kind: str, us=None, vs=None, ws=None):

@@ -111,6 +111,35 @@ def test_matches_brute_force_on_random_forests(seed):
         assert o.path_max(int(u), int(v)) == brute(int(u), int(v))
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_subtree_mask_is_the_side_a_cut_leaves(seed):
+    """Below ``c``: the vertices of ``c``'s tree cut off from its root without ``c``."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    fu, fv = [], []
+    for v in range(1, n):
+        if rng.random() < 0.85:
+            fu.append(int(rng.integers(0, v)))
+            fv.append(v)
+    o = ForestPathMax(n, fu, fv, np.arange(len(fu)))
+    adj = {v: set() for v in range(n)}
+    for a, b in zip(fu, fv):
+        adj[a].add(b)
+        adj[b].add(a)
+    for c in range(n):
+        root = int(o.comp[c])
+        reached = set() if root == c else {root}
+        stack = list(reached)
+        while stack:
+            for y in adj[stack.pop()] - reached - {c}:
+                reached.add(y)
+                stack.append(y)
+        want = [x for x in range(n) if o.comp[x] == root and x not in reached]
+        assert np.flatnonzero(o.subtree_mask(c)).tolist() == want, (seed, c)
+    with pytest.raises(GraphError):
+        o.subtree_mask(n)
+
+
 def test_path_max_many():
     o = ForestPathMax(4, [0, 1, 2], [1, 2, 3], [5, 2, 9])
     out = o.query_many([0, 1, 0], [3, 2, 0])

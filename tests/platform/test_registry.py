@@ -196,9 +196,8 @@ class TestMutateEndToEnd:
         assert not platform.entry("acme", "g1").resident
         before = svc.store.stats()
         assert platform.get_service("acme", "g1").total_weight() == weight
-        after = svc.store.stats()
-        assert after["hits"] - before["hits"] == 1
-        assert after["misses"] == before["misses"]
+        # The reload rebuilds the index over the kept repair: no store read.
+        assert svc.store.stats() == before
         assert svc.bottleneck(0, 59) == 0.001
         assert platform.entry("acme", "g1").graph.n_edges == g.n_edges + 1
 

@@ -46,7 +46,7 @@ def engine_case(request):
     n = 120 + 40 * seed
     m = [300, 150, 90][seed]  # seed 1, 2 leave isolated pieces
     g = gnm_random_graph(n, m, seed=seed)
-    return g, QueryEngine(solve_artifact(g, algorithm="kruskal"))
+    return g, QueryEngine.from_artifact(solve_artifact(g, algorithm="kruskal"))
 
 
 def test_connected_matches_union_find(engine_case):
@@ -123,7 +123,7 @@ def test_total_weight_matches_kruskal(engine_case):
 def test_engine_charges_backend_trace():
     g = gnm_random_graph(60, 140, seed=9)
     backend = SimulatedBackend(4)
-    engine = QueryEngine(solve_artifact(g, algorithm="kruskal"), backend=backend)
+    engine = QueryEngine.from_artifact(solve_artifact(g, algorithm="kruskal"), backend=backend)
     before = backend.trace.total_work
     engine.bottleneck_many(np.zeros(100, dtype=np.int64),
                            np.full(100, 5, dtype=np.int64))
@@ -134,7 +134,7 @@ def test_engine_charges_backend_trace():
 
 def test_execute_dispatch_and_unknown_kind():
     g = from_edges([(0, 1, 1.0), (1, 2, 2.0)])
-    engine = QueryEngine(solve_artifact(g, algorithm="kruskal"))
+    engine = QueryEngine.from_artifact(solve_artifact(g, algorithm="kruskal"))
     assert set(QUERY_KINDS) >= {"connected", "bottleneck", "replacement"}
     assert engine.execute("connected", [0], [2]).tolist() == [True]
     assert engine.execute("weight", [0], [0], [0.0])[0] == pytest.approx(3.0)
@@ -144,7 +144,7 @@ def test_execute_dispatch_and_unknown_kind():
 
 def test_engine_rejects_out_of_range():
     g = from_edges([(0, 1, 1.0)])
-    engine = QueryEngine(solve_artifact(g, algorithm="kruskal"))
+    engine = QueryEngine.from_artifact(solve_artifact(g, algorithm="kruskal"))
     with pytest.raises(GraphError):
         engine.connected_many([0], [9])
     with pytest.raises(GraphError):
@@ -155,7 +155,7 @@ def test_engine_rejects_out_of_range():
 
 def test_empty_graph_engine():
     g = from_edges([], n_vertices=0)
-    engine = QueryEngine(solve_artifact(g, algorithm="kruskal"))
+    engine = QueryEngine.from_artifact(solve_artifact(g, algorithm="kruskal"))
     assert engine.total_weight() == 0.0
     assert engine.connected_many([], []).size == 0
     assert engine.bottleneck_many([], []).size == 0
@@ -172,6 +172,6 @@ def test_warm_index_equals_fresh_build(tmp_path):
     rng = np.random.default_rng(12)
     us = rng.integers(0, 90, 200)
     vs = rng.integers(0, 90, 200)
-    a = QueryEngine(cold).bottleneck_many(us, vs)
-    b = QueryEngine(warm).bottleneck_many(us, vs)
+    a = QueryEngine.from_artifact(cold).bottleneck_many(us, vs)
+    b = QueryEngine.from_artifact(warm).bottleneck_many(us, vs)
     assert np.array_equal(a, b)

@@ -1,9 +1,11 @@
 """What a write builds, and that what it serves equals a fresh solve.
 
-A write sorts the live edges once and packages the repaired forest
-straight from :class:`~repro.mst.dynamic.DynamicMSF`: it builds no CSR
-(``svc.graph`` builds the snapshot on its first read) and serves the
-repair's own path-max index, rebuilt only when the forest changed.
+A write ends at the repair: the engine serves the repaired forest of
+:class:`~repro.mst.dynamic.DynamicMSF` and its own path-max index,
+rebuilt only when the forest changed.  It builds no CSR and packages,
+fingerprints and persists nothing: the first read of ``svc.artifact`` or
+``svc.graph`` does that, once per version, and the store keeps at most
+one mutated version per service.
 """
 
 import gc
@@ -19,7 +21,7 @@ from repro.graphs.csr import CSRGraph
 from repro.graphs.edgelist import EdgeList
 from repro.graphs.generators import gnm_random_graph
 from repro.obs.trace import Tracer, use_tracer
-from repro.service.artifacts import ArtifactStore
+from repro.service.artifacts import ArtifactStore, solve_artifact
 from repro.service.core import MSTService
 
 CSR_ARRAYS = (
@@ -43,9 +45,11 @@ def test_a_write_builds_no_csr_and_an_index_only_when_the_forest_changes(tmp_pat
     assert svc.artifact.n_components == 1
     heavy = float(g.edge_w.max()) + 1.0
     light = float(g.edge_w.min()) / 2
-    # The first write seeds the repair from the loaded graph: no CSR.
+    # The first write seeds the repair from the loaded graph and the
+    # engine's index: no CSR, no index.
     first = _spans(lambda: svc.insert_edge(0, 59, heavy))
     assert first["csr:build"] == 0
+    assert first["index:build"] == 0
 
     # Forest unchanged: a non-tree insert, then that edge's delete.
     for write in (lambda: svc.insert_edge(1, 58, heavy),
@@ -117,9 +121,13 @@ def test_mixed_writes_serve_the_index_and_graph_of_a_fresh_load(tmp_path, tied):
         trees = svc.artifact.n_components
         for s in (svc, bare):
             if op == "insert":
-                s.insert_edge(u, v, w)
+                spans = _spans(lambda: s.insert_edge(u, v, w))
             else:
-                s.delete_edge(u, v, w)
+                spans = _spans(lambda: s.delete_edge(u, v, w))
+            # One index per write at most: a tree-edge delete finds its cut
+            # on the index it already has and builds only the engine's.
+            builds = spans["index:build"]
+            assert (builds == 1) if kind == TREE else (builds <= 1), (step, kind, builds)
         seen[kind, svc.artifact.n_components - trees] += 1
         served, fresh = svc.ensure_ready()._oracle, svc.artifact.oracle()
         for name in ("depth", "comp", "_up", "_mx"):
@@ -133,13 +141,20 @@ def test_mixed_writes_serve_the_index_and_graph_of_a_fresh_load(tmp_path, tied):
         assert got.dtype == want.dtype and np.array_equal(got, want), name
 
     served = svc.artifact
-    hits, misses = store.hits, store.misses
-    svc.invalidate()
-    svc.connected(0, 1)
-    assert (store.hits, store.misses) == (hits + 1, misses)
-    assert _same_content(svc.artifact, served)
-
-    bare.invalidate()  # no store: re-solves the lazily built graph
+    assert _same_content(served, solve_artifact(svc.graph, algorithm=svc.algorithm))
+    counts = store.stats()
+    # The reload after an eviction is one index over the kept repair: no
+    # store access, no solve, no CSR, no fingerprint.
+    for s in (svc, bare):
+        s.invalidate()
+        spans = _spans(lambda: s.connected(0, 1))
+        assert spans["index:build"] == 1 and spans["csr:build"] == 0, spans
+        assert not [name for name in spans if name.startswith(("solve:", "artifact:"))], spans
+        assert s.total_weight() == served.total_weight
+        rebuilt = s.ensure_ready()._oracle
+        for name in ("depth", "comp", "_up", "_mx"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(served.oracle(), name)), name
+    assert store.stats() == counts
     assert _same_content(bare.artifact, served)
 
 
@@ -193,6 +208,74 @@ def test_an_eviction_neither_changes_a_mutated_graph_nor_keeps_its_index(tmp_pat
         got, want = getattr(evicted.graph, name), getattr(plain.graph, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert freed == [True] * len(EVICTION_WRITES)
-    # Each eviction costs at most two indexes, the reload's and the next
-    # write's: what re-seeding the repair from the snapshot cost.
-    assert builds <= plain_builds + 2 * len(EVICTION_WRITES)
+    # Each eviction costs one index, the reload's: the next write reuses it.
+    assert builds <= plain_builds + len(EVICTION_WRITES)
+
+
+def test_a_write_persists_nothing_until_its_version_is_read(tmp_path):
+    store = ArtifactStore(tmp_path)
+    svc = MSTService(store)
+    svc.load_graph(gnm_random_graph(60, 240, seed=4))
+    for write in (lambda: svc.insert_edge(0, 59, 0.001), lambda: svc.delete_edge(0, 59)):
+        spans = _spans(write)
+        assert spans["artifact:save"] == spans["artifact:fingerprint"] == 0, spans
+        first = _spans(lambda: svc.artifact)
+        assert first["artifact:save"] == first["artifact:fingerprint"] == 1, first
+        again = _spans(lambda: (svc.artifact, svc.graph))
+        assert again["artifact:save"] == again["artifact:fingerprint"] == 0, again
+    # The delete's version is the loaded content, whose file stays; the
+    # insert's version that it superseded is gone.
+    assert [p.stem for p in tmp_path.iterdir()] == [svc.artifact.fingerprint]
+    # A version nobody reads is never packaged.
+    svc.insert_edge(1, 58, 0.002)
+    svc.insert_edge(2, 57, 0.003)
+    assert _spans(lambda: svc.total_weight())["artifact:fingerprint"] == 0
+    assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_the_store_keeps_one_mutated_version_per_service(tmp_path):
+    store = ArtifactStore(tmp_path)
+    graphs = [gnm_random_graph(40, 120, seed=s) for s in (1, 2)]
+    services = [MSTService(store) for _ in graphs]
+    loaded = {s.load_graph(g).fingerprint for s, g in zip(services, graphs)}
+    versions = {}  # fingerprint -> the graph a read saw it for
+    rng = np.random.default_rng(8)
+    for step in range(80):
+        svc = services[step % 2]
+        if rng.random() < 0.5 or svc._dyn is None:
+            u, v = (int(x) for x in rng.choice(40, 2, replace=False))
+            svc.insert_edge(u, v, float(rng.choice([0.001, 0.5, 2.0])))
+        else:  # the newest live edge: versions revisit earlier content
+            _, (u, v, w) = max(svc._dyn)
+            svc.delete_edge(u, v, w)
+        roll = rng.random()
+        if roll < 0.4:
+            versions[svc.artifact.fingerprint] = svc.graph
+        elif roll < 0.5:
+            svc.invalidate()
+        mutated = {p.stem for p in tmp_path.glob("*.npz")} - loaded
+        assert len(mutated) <= len(services), (step, mutated)
+        assert mutated <= {s._saved for s in services}, step
+    assert len(versions) > 10
+    assert {p.stem for p in tmp_path.glob("*.npz")} >= loaded
+    graph_of = {**{s._loaded: g for s, g in zip(services, graphs)}, **versions}
+    for path in tmp_path.glob("*.npz"):
+        assert _same_content(store.load(path), solve_artifact(graph_of[path.stem])), path.stem
+
+
+def test_a_reader_of_a_removed_version_re_solves(tmp_path):
+    writer = MSTService(ArtifactStore(tmp_path))
+    writer.load_graph(gnm_random_graph(40, 120, seed=3))
+    writer.insert_edge(0, 39, 0.001)
+    snapshot = writer.graph  # persists this version
+    reader = MSTService(ArtifactStore(tmp_path))
+    reader.load_graph(snapshot)
+    assert reader.store.hits == 1
+    writer.insert_edge(1, 38, 0.002)
+    writer.artifact  # persists the next version, removing the one read
+    assert reader.artifact.fingerprint not in writer.store
+    reader.invalidate()
+    fresh = solve_artifact(snapshot)
+    assert reader.total_weight() == fresh.total_weight
+    assert reader.store.stats() == {"hits": 1, "misses": 1, "corrupt_replaced": 0}
+    assert _same_content(reader.artifact, fresh)
